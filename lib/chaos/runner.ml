@@ -104,8 +104,8 @@ type result = {
 let is_empty_view reason =
   String.length reason >= 2 && reason.[0] = 'n' && reason.[1] = 'o'
 
-let run ?(config = default_config) ?(durable = false) ?online ~client ~respond
-    events =
+let run ?(config = default_config) ?(durable = false) ?online ?probe ~client
+    ~respond events =
   let engine = Relax_sim.Engine.create ~seed:config.seed () in
   let net =
     Relax_sim.Network.create ~mean_latency:config.mean_latency engine
@@ -166,14 +166,25 @@ let run ?(config = default_config) ?(durable = false) ?online ~client ~respond
             ~attrs:[ Relax_obs.Attr.bool "degraded" d ];
         emit (if d then degrade else restore)
       in
+      (* an observer sampled with the constraints, always healthy, so it
+         sees the replica at every controller sample and decides nothing *)
+      let probe =
+        Option.map
+          (fun f ->
+            Degrade.Monitor.make ~name:"probe" (fun () ->
+                f replica;
+                { Degrade.Monitor.healthy = true; value = 0.0 }))
+          probe
+      in
       let c =
         Degrade.Controller.create ?config:controller ~replica
           ~constraints:
-            [
-              Degrade.Monitor.quorum_reachability ~name:"quorums" ~net
-                ~assignment:preferred ();
-              Degrade.Monitor.retry_pressure ~name:"retry-pressure" ~replica ();
-            ]
+            ([
+               Degrade.Monitor.quorum_reachability ~name:"quorums" ~net
+                 ~assignment:preferred ();
+               Degrade.Monitor.retry_pressure ~name:"retry-pressure" ~replica ();
+             ]
+            @ Option.to_list probe)
           ~restore_gate:
             ([
                Degrade.Monitor.convergence ~name:"converged" ~replica ();

@@ -82,11 +82,18 @@ type result = {
     Crash faults then lose volatile state but keep stable storage (with
     a torn tail), Recover replays the journal, and — for a controlled
     client — the restore gate additionally waits until every recovered
-    site has re-joined the anti-entropy flow. *)
+    site has re-joined the anti-entropy flow.
+
+    [probe], for a controlled client, is called with the run's replica
+    whenever the controller samples its constraints: at every periodic
+    tick, and when it checks them before an operation or a restore.  It
+    observes and must not mutate.  A fixed client has no controller and
+    never calls it. *)
 val run :
   ?config:config ->
   ?durable:bool ->
   ?online:(unit -> Relax_degrade.Online.t) ->
+  ?probe:(Relax_replica.Replica.t -> unit) ->
   client:client ->
   respond:Relax_replica.Replica.response_chooser ->
   Fault.event list ->

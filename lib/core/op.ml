@@ -61,16 +61,13 @@ let hash t =
 let hash_invocation i =
   (Hashtbl.hash i.inv_name * 65599) + hash_values i.inv_args
 
-let pp ppf t =
-  Fmt.pf ppf "%s(%a)/%s(%a)" t.name
-    (Fmt.list ~sep:(Fmt.any ", ") Value.pp)
-    t.args t.term
-    (Fmt.list ~sep:(Fmt.any ", ") Value.pp)
-    t.results
+(* Rendered without Format, like [Value.to_string]: "name(args)/term(results)". *)
+let values vs = String.concat ", " (List.map Value.to_string vs)
+
+let to_string t =
+  String.concat "" [ t.name; "("; values t.args; ")/"; t.term; "("; values t.results; ")" ]
+
+let pp ppf t = Fmt.string ppf (to_string t)
 
 let pp_invocation ppf i =
-  Fmt.pf ppf "%s(%a)" i.inv_name
-    (Fmt.list ~sep:(Fmt.any ", ") Value.pp)
-    i.inv_args
-
-let to_string t = Fmt.str "%a" pp t
+  Fmt.string ppf (String.concat "" [ i.inv_name; "("; values i.inv_args; ")" ])

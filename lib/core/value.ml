@@ -50,15 +50,19 @@ and compare_lists xs ys =
 
 let equal a b = compare a b = 0
 
-let rec pp ppf = function
-  | Unit -> Fmt.string ppf "()"
-  | Bool b -> Fmt.bool ppf b
-  | Int i -> Fmt.int ppf i
-  | Str s -> Fmt.string ppf s
-  | Pair (a, b) -> Fmt.pf ppf "(%a, %a)" pp a pp b
-  | List vs -> Fmt.pf ppf "[%a]" (Fmt.list ~sep:(Fmt.any "; ") pp) vs
+(* Rendered without Format: lineage keys render a value on every traced
+   delivery, and a formatter per string costs more than the string.
+   The printer has no break hints, so [pp] printing the rendered string
+   is byte-identical to printing it piecewise. *)
+let rec to_string = function
+  | Unit -> "()"
+  | Bool b -> string_of_bool b
+  | Int i -> string_of_int i
+  | Str s -> s
+  | Pair (a, b) -> "(" ^ to_string a ^ ", " ^ to_string b ^ ")"
+  | List vs -> "[" ^ String.concat "; " (List.map to_string vs) ^ "]"
 
-let to_string v = Fmt.str "%a" pp v
+let pp ppf v = Fmt.string ppf (to_string v)
 
 let to_int = function Int i -> Some i | _ -> None
 let to_bool = function Bool b -> Some b | _ -> None

@@ -36,14 +36,9 @@ let pp_sample ppf s =
 
 (* The anti-entropy lag: how many up sites' logs differ from the union
    of all logs.  0 means every live site already knows everything any
-   site knows (the [synced] predicate the adaptive experiments used). *)
-let lag replica =
-  let global = Replica.global_log replica in
-  let net = Replica.network replica in
-  List.length
-    (List.filter
-       (fun s -> not (Log.equal (Replica.site_log replica s) global))
-       (Relax_sim.Network.up_sites net))
+   site knows (the [synced] predicate the adaptive experiments used).
+   The replica memoizes it across the monitors that read it. *)
+let lag = Replica.lag
 
 (* Fraction of up sites that can currently assemble both quorums of
    every operation of [assignment], counting only sites they can reach

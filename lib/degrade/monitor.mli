@@ -22,7 +22,7 @@ val pp_sample : sample Fmt.t
 
 (** How many up sites' logs differ from the union of all site logs — the
     anti-entropy debt.  0 means every live site knows everything any site
-    knows. *)
+    knows.  The same as {!Replica.lag}, which memoizes it. *)
 val lag : Replica.t -> int
 
 (** Fraction of up sites able to assemble both quorums of every operation

@@ -35,23 +35,12 @@ let compare_dkey a b =
   | 0 -> ( match compare a.dst b.dst with 0 -> compare a.seq b.seq | c -> c)
   | c -> c
 
-let dkey_to_string k = Fmt.str "%d>%d#%d" k.src k.dst k.seq
+let dkey_to_string k = Relax_sim.Network.copy_key ~src:k.src ~dst:k.dst ~seq:k.seq
 
 let dkey_of_string s =
-  match String.index_opt s '>' with
-  | None -> None
-  | Some i -> (
-    match String.index_opt s '#' with
-    | None -> None
-    | Some j when j > i -> (
-      match
-        ( int_of_string_opt (String.sub s 0 i),
-          int_of_string_opt (String.sub s (i + 1) (j - i - 1)),
-          int_of_string_opt (String.sub s (j + 1) (String.length s - j - 1)) )
-      with
-      | Some src, Some dst, Some seq -> Some { src; dst; seq }
-      | _ -> None)
-    | Some _ -> None)
+  Option.map
+    (fun (src, dst, seq) -> { src; dst; seq })
+    (Relax_sim.Network.copy_key_of_string s)
 
 (* One counted quorum member: the site, the message copies its
    contribution rode on (request+reply, or update+ack), and the carrier

@@ -14,8 +14,11 @@
    round loop) cannot afford per call.  A [map] publishes a batch under
    the mutex, bumps a generation counter to wake the workers, and the
    caller participates as worker 0, so [map ~jobs:n] uses [n-1] pool
-   domains.  The pool grows on demand when a call asks for more
-   parallelism than any before it, and is torn down from [at_exit].
+   domains: the batch carries that many admission tickets, and a woken
+   worker that finds none left parks again without touching the tasks
+   (the pool may hold more workers than this call asked for).  The pool
+   grows on demand when a call asks for more parallelism than any
+   before it, and is torn down from [at_exit].
 
    Nested calls run sequentially: a worker domain that itself calls [map]
    gets a plain [List.map], so parallel checks that internally use
@@ -47,6 +50,7 @@ let map_seq f l = List.map f l
    slot, so workers need no knowledge of the element types. *)
 type batch = {
   tasks : (unit -> unit) array;
+  seats : int Atomic.t; (* pool workers still admitted to this batch *)
   next : int Atomic.t; (* next task index to claim *)
   left : int Atomic.t; (* tasks not yet finished *)
   done_ : Mutex.t;
@@ -119,7 +123,7 @@ let worker_main () =
         match job with
         | None -> if not pool.shutdown then park ()
         | Some b ->
-          ignore (drain b);
+          if Atomic.fetch_and_add b.seats (-1) > 0 then ignore (drain b);
           park ()
       in
       park ())
@@ -171,6 +175,7 @@ let map ?jobs f l =
     let b =
       {
         tasks;
+        seats = Atomic.make (jobs - 1);
         next = Atomic.make 0;
         left = Atomic.make n;
         done_ = Mutex.create ();

@@ -25,5 +25,7 @@ val default_jobs : unit -> int
 val set_default_jobs : int -> unit
 
 (** [map ?jobs f l] is [List.map f l] computed with up to [jobs] domains
-    (default {!default_jobs}), results in input order. *)
+    (default {!default_jobs}), results in input order.  The calling
+    domain takes part, so at most [jobs - 1] pool workers run tasks of
+    this call, however many an earlier, wider call left parked. *)
 val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list

@@ -1,9 +1,13 @@
 open Relax_core
 
 (* Replicated-object logs (Section 3.1): a log is a set of timestamped
-   operation entries kept sorted by timestamp.  A replicated object's
+   operation entries, ordered by timestamp.  A replicated object's
    current value is reconstructed by merging the logs of a quorum of sites
-   in timestamp order, discarding duplicates. *)
+   in timestamp order, discarding duplicates.
+
+   The set is a balanced tree keyed by (timestamp, operation), so an
+   insert, a membership test or a removal costs O(log n) and a merge of
+   two logs is a set union rather than one ordered insert per entry. *)
 
 type entry = { ts : Timestamp.t; op : Op.t }
 
@@ -17,43 +21,41 @@ let compare_entry a b =
 
 let equal_entry a b = compare_entry a b = 0
 
-type t = entry list (* sorted by timestamp, duplicates removed *)
+module S = Set.Make (struct
+  type t = entry
 
-let empty = []
-let is_empty l = l = []
-let length = List.length
-let entries l = l
+  let compare = compare_entry
+end)
 
-let rec insert l e =
-  match l with
-  | [] -> [ e ]
-  | x :: rest ->
-    let c = compare_entry e x in
-    if c = 0 then l
-    else if c < 0 then e :: l
-    else x :: insert rest e
+type t = S.t
 
-let of_entries es = List.fold_left insert [] es
+let empty = S.empty
+let is_empty = S.is_empty
+let length = S.cardinal
+let entries = S.elements
+let insert l e = S.add e l
+let of_entries = S.of_list
 
 (* Merge discards duplicate entries: the same timestamped operation
    recorded at several sites is one event. *)
-let merge a b = List.fold_left insert a b
-
-let mem l e = List.exists (equal_entry e) l
+let merge = S.union
+let mem l e = S.mem e l
+let remove l e = S.remove e l
 
 (* The history a log denotes: its operations in timestamp order. *)
-let to_history (l : t) : History.t = List.map (fun e -> e.op) l
+let to_history (l : t) : History.t = List.map entry_op (S.elements l)
 
-(* The largest timestamp present, used by sites to advance their clocks. *)
+(* The largest timestamp present, used by sites to advance their clocks.
+   Entries are ordered by timestamp first, so it is the last entry's. *)
 let max_ts l =
-  List.fold_left (fun acc e -> Timestamp.merge acc e.ts) Timestamp.zero l
+  match S.max_elt_opt l with None -> Timestamp.zero | Some e -> e.ts
 
-let filter = List.filter
+let filter = S.filter
 
 (* Split into the entries at or before the watermark and the rest;
    both sides stay sorted. *)
 let split_at_watermark (l : t) ts =
-  List.partition (fun e -> Timestamp.compare e.ts ts <= 0) l
+  List.partition (fun e -> Timestamp.compare e.ts ts <= 0) (S.elements l)
 
 (* Checkpointing (log compaction): replace the prefix at or before
    [watermark] with synthetic entries reconstructing its effect.  The
@@ -82,7 +84,7 @@ let compact (l : t) ~watermark ~summary =
 let pp_entry ppf e = Fmt.pf ppf "%a %a" Timestamp.pp e.ts Op.pp e.op
 
 let pp ppf l =
-  if l = [] then Fmt.string ppf "<empty log>"
-  else Fmt.list ~sep:(Fmt.any "@\n") pp_entry ppf l
+  if S.is_empty l then Fmt.string ppf "<empty log>"
+  else Fmt.list ~sep:(Fmt.any "@\n") pp_entry ppf (S.elements l)
 
-let equal a b = List.length a = List.length b && List.for_all2 equal_entry a b
+let equal = S.equal

@@ -24,5 +24,10 @@ let tick t ~site = { time = t.time + 1; site }
 (* Clock synchronisation on message receipt. *)
 let merge a b = if compare a b >= 0 then a else b
 
-let pp ppf t = Fmt.pf ppf "%d:%02d" t.time t.site
-let to_string t = Fmt.str "%a" pp t
+(* "time:site", the site zero-padded to two digits (as "%d:%02d"),
+   rendered without Format for the lineage keys. *)
+let to_string t =
+  let site = string_of_int t.site in
+  string_of_int t.time ^ (if t.site >= 0 && t.site < 10 then ":0" else ":") ^ site
+
+let pp ppf t = Fmt.string ppf (to_string t)

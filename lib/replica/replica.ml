@@ -63,7 +63,7 @@ type t = {
      two-phase commit, so a failed operation aborts and its tentative log
      entries are discarded everywhere; tombstones model the abort records
      and are honored by [absorb]. *)
-  mutable tombstones : Log.entry list;
+  mutable tombstones : Log.t;
   (* Entries written by operations still in flight: recorded at some sites
      but neither concluded nor aborted yet.  Checkpointing must not
      summarize them away — see [checkpoint]. *)
@@ -75,6 +75,12 @@ type t = {
      a post-recovery transfer — the re-join window anti-entropy closes. *)
   recovering : bool array;
   mutable recoveries : int;
+  (* Bumped by [set_log] whenever a site's log changes; with the up-site
+     list it keys the memoized convergence [lag]. *)
+  mutable log_version : int;
+  mutable lag_version : int;
+  mutable lag_up : int list;
+  mutable lag_value : int;
 }
 
 let create ?(timeout = 200.0) ?(retries = 2) ?(backoff = 8.0) ?metrics engine
@@ -101,11 +107,15 @@ let create ?(timeout = 200.0) ?(retries = 2) ?(backoff = 8.0) ?metrics engine
     attempts_total = 0;
     retries_total = 0;
     op_latencies = [];
-    tombstones = [];
+    tombstones = Log.empty;
     tentative = [];
     journals = Array.make n None;
     recovering = Array.make n false;
     recoveries = 0;
+    log_version = 0;
+    lag_version = -1;
+    lag_up = [];
+    lag_value = 0;
   }
 
 (* Durability opt-in: give every site a write-ahead journal on its own
@@ -153,9 +163,41 @@ let set_assignment t assignment =
 
 let site_log t s = t.sites.(s).log
 
+(* Every write to a site's log goes through here, so the version keying
+   the [lag] memo moves exactly when some log does.  Log operations
+   return the same log physically when nothing changed (an absent entry
+   removed, every entry kept by a filter); those writes keep the memo. *)
+let set_log t s log =
+  let site = t.sites.(s) in
+  if log != site.log then begin
+    site.log <- log;
+    t.log_version <- t.log_version + 1
+  end
+
 (* The union of all site logs: what an omniscient observer knows. *)
 let global_log t =
   Array.fold_left (fun acc s -> Log.merge acc s.log) Log.empty t.sites
+
+(* The anti-entropy lag: how many up sites' logs differ from the union
+   of all logs.  The controller's sample, its restore gate and the
+   anti-entropy scheduler all read it on the same tick, and between
+   ticks a quiet replica changes nothing, so it is memoized on the log
+   version and the up-site list — the only inputs it has. *)
+let lag t =
+  let up = Relax_sim.Network.up_sites t.net in
+  if t.lag_version = t.log_version && t.lag_up = up then t.lag_value
+  else begin
+    let global = global_log t in
+    let value =
+      List.fold_left
+        (fun acc s -> if Log.equal t.sites.(s).log global then acc else acc + 1)
+        0 up
+    in
+    t.lag_version <- t.log_version;
+    t.lag_up <- up;
+    t.lag_value <- value;
+    value
+  end
 
 (* Completed operations in completion-time order. *)
 let completed t = List.rev t.completed
@@ -167,7 +209,7 @@ let attempts_total t = t.attempts_total
 let retries_total t = t.retries_total
 let op_latencies t = List.rev t.op_latencies
 
-let is_tombstoned t e = List.exists (Log.equal_entry e) t.tombstones
+let is_tombstoned t e = Log.mem t.tombstones e
 
 (* Lineage instrumentation.  A stable textual key for an entry (entries
    are identified by (timestamp, operation)) and for the physical network
@@ -175,11 +217,11 @@ let is_tombstoned t e = List.exists (Log.equal_entry e) t.tombstones
    support-graph extractor in [lib/ldfi]; everything is guarded by
    [Tr.active] so untraced runs pay nothing. *)
 let entry_key e =
-  Fmt.str "%a@%s" Op.pp (Log.entry_op e) (Timestamp.to_string (Log.entry_ts e))
+  Op.to_string (Log.entry_op e) ^ "@" ^ Timestamp.to_string (Log.entry_ts e)
 
 let copy_key net =
   match Relax_sim.Network.delivering net with
-  | Some (src, dst, seq) -> Fmt.str "%d>%d#%d" src dst seq
+  | Some (src, dst, seq) -> Relax_sim.Network.copy_key ~src ~dst ~seq
   | None -> "-"
 
 (* Merge [log] into site [s], advancing its clock past everything seen;
@@ -193,9 +235,11 @@ let copy_key net =
 let absorb t s log =
   let site = t.sites.(s) in
   let watch = Tr.active () || journaled t s in
-  let before = if watch then Log.entries site.log else [] in
-  site.log <-
-    Log.filter (fun e -> not (is_tombstoned t e)) (Log.merge site.log log);
+  let before = site.log in
+  let merged = Log.merge before log in
+  set_log t s
+    (if Log.is_empty t.tombstones then merged
+     else Log.filter (fun e -> not (is_tombstoned t e)) merged);
   site.clock <- Timestamp.merge site.clock (Log.max_ts site.log);
   t.recovering.(s) <- false;
   if watch then begin
@@ -204,7 +248,7 @@ let absorb t s log =
     let now = Relax_sim.Engine.now t.engine in
     List.iter
       (fun e ->
-        if not (List.exists (Log.equal_entry e) before) then begin
+        if not (Log.mem before e) then begin
           journal_append t s (Wal.Entry e);
           if traced then
             Tr.instant ~time:now "replica/absorb"
@@ -229,10 +273,10 @@ let settle_entry t entry =
    tombstone still cannot resurrect the aborted entry. *)
 let abort_entry t entry =
   settle_entry t entry;
-  t.tombstones <- entry :: t.tombstones;
+  t.tombstones <- Log.insert t.tombstones entry;
   Array.iteri
     (fun s site ->
-      site.log <- Log.filter (fun e -> not (Log.equal_entry e entry)) site.log;
+      set_log t s (Log.remove site.log entry);
       journal_append t s (Wal.Tomb entry))
     t.sites
 
@@ -242,7 +286,7 @@ let abort_entry t entry =
    experiment uses it to show the stable-logs assumption is
    load-bearing. *)
 let wipe_site t s =
-  t.sites.(s).log <- Log.empty;
+  set_log t s Log.empty;
   t.sites.(s).clock <- Timestamp.zero;
   t.recovering.(s) <- false;
   match t.journals.(s) with None -> () | Some j -> Journal.reset j.jr
@@ -256,7 +300,7 @@ let crash_site t s =
   | None -> ()
   | Some j ->
     Device.crash j.dev;
-    t.sites.(s).log <- Log.empty;
+    set_log t s Log.empty;
     t.sites.(s).clock <- Timestamp.zero;
     t.recovering.(s) <- false
 
@@ -272,7 +316,7 @@ let recover_site t s =
     let jr, payloads, stats = Journal.attach j.dev ~name:"wal" in
     j.jr <- jr;
     let log = ref Log.empty in
-    let tombs = ref [] in
+    let tombs = ref Log.empty in
     let epoch = ref 0 in
     let clock = ref Timestamp.zero in
     (* the restored clock merges every timestamp the journal has seen —
@@ -286,21 +330,20 @@ let recover_site t s =
         | None -> () (* CRC-valid but unknown: a future record kind *)
         | Some (Wal.Entry e) ->
           see (Log.entry_ts e);
-          if not (List.exists (Log.equal_entry e) !tombs) then
-            log := Log.insert !log e
+          if not (Log.mem !tombs e) then log := Log.insert !log e
         | Some (Wal.Tomb e) ->
           see (Log.entry_ts e);
-          tombs := e :: !tombs;
-          log := Log.filter (fun e' -> not (Log.equal_entry e e')) !log
+          tombs := Log.insert !tombs e;
+          log := Log.remove !log e
         | Some (Wal.Checkpoint es) ->
           List.iter (fun e -> see (Log.entry_ts e)) es;
           log := Log.of_entries es;
-          tombs := []
+          tombs := Log.empty
         | Some (Wal.Epoch n) -> epoch := max !epoch n
         | Some (Wal.Clock ts) -> see ts)
       payloads;
     let site = t.sites.(s) in
-    site.log <- Log.filter (fun e -> not (is_tombstoned t e)) !log;
+    set_log t s (Log.filter (fun e -> not (is_tombstoned t e)) !log);
     site.clock <- Timestamp.merge !clock (Log.max_ts site.log);
     t.recovering.(s) <- true;
     t.recoveries <- t.recoveries + 1;
@@ -366,25 +409,17 @@ let checkpoint t ~watermark ~summarize =
       t.tentative
   then None
   else
-  let prefixes =
-    Array.map (fun site -> fst (Log.split_at_watermark site.log watermark)) t.sites
-  in
+  let below e = Timestamp.compare (Log.entry_ts e) watermark <= 0 in
+  let prefixes = Array.map (fun site -> Log.filter below site.log) t.sites in
   let reference = prefixes.(0) in
-  let stable =
-    Array.for_all
-      (fun p ->
-        List.length p = List.length reference
-        && List.for_all2 Log.equal_entry p reference)
-      prefixes
-  in
-  if not stable then None
+  if not (Array.for_all (Log.equal reference) prefixes) then None
   else begin
-    let history = List.map Log.entry_op reference in
+    let history = Log.to_history reference in
     let summary = summarize history in
-    let reclaimed = List.length reference - List.length summary in
+    let reclaimed = Log.length reference - List.length summary in
     Array.iteri
       (fun s site ->
-        site.log <- Log.compact site.log ~watermark ~summary;
+        set_log t s (Log.compact site.log ~watermark ~summary);
         (* the journal compacts with the log: snapshot the compacted
            state into a fresh segment and reclaim the older ones *)
         match t.journals.(s) with
@@ -489,7 +524,7 @@ let execute t ~client_site inv callback =
         match t.respond (Log.to_history view_log) inv with
         | None ->
           fail_attempt ~retryable:false
-            (Fmt.str "no response consistent with the view for %s" op_name)
+            ("no response consistent with the view for " ^ op_name)
         | Some op ->
           (* Lamport discipline: the new entry's timestamp dominates
              everything the client observed (its view) and everything its
@@ -515,8 +550,9 @@ let execute t ~client_site inv callback =
             journal_sync t client_site
           end;
           let entry = Log.entry ~ts op in
-          trace_op "replica/entry"
-            [ At.int "attempt" k; At.str "entry" (entry_key entry) ];
+          if Tr.active () then
+            trace_op "replica/entry"
+              [ At.int "attempt" k; At.str "entry" (entry_key entry) ];
           written_entry := Some entry;
           t.tentative <- entry :: t.tentative;
           let updated = Log.insert view_log entry in
@@ -628,7 +664,8 @@ let execute t ~client_site inv callback =
     Relax_sim.Engine.schedule t.engine ~delay:t.timeout (fun () ->
         if (not !attempt_over) && not !settled then begin
           count t "replica/timeouts";
-          fail_attempt ~retryable:true (Fmt.str "timeout after %.0f" t.timeout)
+          fail_attempt ~retryable:true
+            (Printf.sprintf "timeout after %.0f" t.timeout)
         end)
   in
   attempt 1

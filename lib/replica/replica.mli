@@ -60,10 +60,20 @@ val assignment : t -> Assignment.t
     count differing from the network's. *)
 val set_assignment : t -> Assignment.t -> unit
 
+(** Site [s]'s current log.  Logs are indexed sets ({!Log}): reading
+    one is O(1), and an absorbed transfer costs a set union plus, when
+    traced or journaled, one O(log n) membership test per entry. *)
 val site_log : t -> int -> Log.t
 
 (** The union of all site logs. *)
 val global_log : t -> Log.t
+
+(** The anti-entropy lag: how many up sites' logs differ from
+    {!global_log}.  0 means every live site knows everything any site
+    knows.  Memoized on a version every log write bumps and on the
+    up-site list, so repeated reads between log changes, crashes and
+    recoveries cost one list comparison. *)
+val lag : t -> int
 
 (** Completed operations in completion-time order, with their times. *)
 val completed : t -> (float * Op.t) list

@@ -184,6 +184,27 @@ let delivering t =
   if t.delivering_src < 0 then None
   else Some (t.delivering_src, t.delivering_dst, t.delivering_seq)
 
+(* The textual form of a copy identity, "src>dst#seq": the replica's
+   lineage instants write it and the LDFI planner reads it back. *)
+let copy_key ~src ~dst ~seq =
+  string_of_int src ^ ">" ^ string_of_int dst ^ "#" ^ string_of_int seq
+
+let copy_key_of_string s =
+  match String.index_opt s '>' with
+  | None -> None
+  | Some i -> (
+    match String.index_opt s '#' with
+    | None -> None
+    | Some j when j > i -> (
+      match
+        ( int_of_string_opt (String.sub s 0 i),
+          int_of_string_opt (String.sub s (i + 1) (j - i - 1)),
+          int_of_string_opt (String.sub s (j + 1) (String.length s - j - 1)) )
+      with
+      | Some src, Some dst, Some seq -> Some (src, dst, seq)
+      | _ -> None)
+    | Some _ -> None)
+
 (* Latency model: exponential around the configured mean (so bursts of
    reordering occur naturally), plus the tunable uniform extra delay and
    the sender's clock skew. *)

@@ -107,6 +107,14 @@ val denied_count : t -> int
     cite the copy that triggered them. *)
 val delivering : t -> (int * int * int) option
 
+(** The textual form ["src>dst#seq"] of a copy identity, as lineage
+    instants carry it. *)
+val copy_key : src:int -> dst:int -> seq:int -> string
+
+(** Parse {!copy_key}'s form back: the integers before ['>'], between
+    it and the first ['#'], and after; [None] when any fails to parse. *)
+val copy_key_of_string : string -> (int * int * int) option
+
 (** [send t ~src ~dst deliver] schedules [deliver] after the drawn latency
     unless the message is lost. *)
 val send : t -> src:int -> dst:int -> (unit -> unit) -> unit

@@ -109,6 +109,109 @@ let op_tests =
         Alcotest.(check string) "enq" "Enq(5)/Ok()" (Op.to_string (enq 5)));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Format-free renderers                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* The Format printers the string renderers replaced, kept as the
+   reference: [Value.to_string], [Op.to_string], [Op.pp_invocation] and
+   [Timestamp.to_string] must produce exactly their bytes. *)
+module Format_ref = struct
+  let rec value ppf = function
+    | Value.Unit -> Fmt.string ppf "()"
+    | Value.Bool b -> Fmt.bool ppf b
+    | Value.Int i -> Fmt.int ppf i
+    | Value.Str s -> Fmt.string ppf s
+    | Value.Pair (a, b) -> Fmt.pf ppf "(%a, %a)" value a value b
+    | Value.List vs -> Fmt.pf ppf "[%a]" (Fmt.list ~sep:(Fmt.any "; ") value) vs
+
+  let values = Fmt.list ~sep:(Fmt.any ", ") value
+
+  let op ppf o =
+    Fmt.pf ppf "%s(%a)/%s(%a)" (Op.name o) values (Op.args o) (Op.term o)
+      values (Op.results o)
+
+  let invocation ppf i =
+    Fmt.pf ppf "%s(%a)" (Op.invocation_name i) values (Op.invocation_args i)
+
+  let timestamp ppf t =
+    Fmt.pf ppf "%d:%02d" (Relax_quorum.Timestamp.time t)
+      (Relax_quorum.Timestamp.site t)
+end
+
+(* Nested values over every constructor, with strings long enough to
+   pass Format's margin and characters Format treats specially in
+   format strings ('@', '%', spaces, newlines). *)
+let render_value_gen =
+  let open QCheck.Gen in
+  let text =
+    string_size ~gen:(oneofl [ 'a'; 'Z'; '0'; ' '; '@'; '%'; ','; ';'; '\n' ])
+      (int_bound 90)
+  in
+  sized (fun n ->
+      fix
+        (fun self n ->
+          if n <= 1 then
+            oneof
+              [
+                return Value.Unit;
+                map Value.bool bool;
+                map Value.int int;
+                map Value.str text;
+              ]
+          else
+            frequency
+              [
+                (1, map Value.str text);
+                (2, map2 Value.pair (self (n / 2)) (self (n / 2)));
+                (2, map Value.list (list_size (int_bound 4) (self (n / 3))));
+              ])
+        (min n 16))
+
+let render_op_gen =
+  let open QCheck.Gen in
+  let vals = list_size (int_bound 3) render_value_gen in
+  map
+    (fun (name, args, term, results) -> Op.make name ~args ~term ~results)
+    (quad (oneofl [ "Enq"; "Deq"; "Credit"; "" ]) vals (oneofl [ "Ok"; "Bounce"; "" ]) vals)
+
+let render_tests =
+  List.map QCheck_alcotest.to_alcotest
+    [
+      QCheck.Test.make ~name:"Value.to_string and pp match Format" ~count:500
+        (QCheck.make ~print:(Fmt.str "%a" Format_ref.value) render_value_gen)
+        (fun v ->
+          let want = Fmt.str "%a" Format_ref.value v in
+          Value.to_string v = want && Fmt.str "%a" Value.pp v = want);
+      QCheck.Test.make ~name:"Op.to_string, pp and pp_invocation match Format"
+        ~count:500
+        (QCheck.make ~print:(Fmt.str "%a" Format_ref.op) render_op_gen)
+        (fun o ->
+          let want = Fmt.str "%a" Format_ref.op o in
+          Op.to_string o = want
+          && Fmt.str "%a" Op.pp o = want
+          && Fmt.str "%a" Op.pp_invocation (Op.invocation o)
+             = Fmt.str "%a" Format_ref.invocation (Op.invocation o));
+      QCheck.Test.make ~name:"Timestamp.to_string and pp match Format" ~count:500
+        (QCheck.pair
+           (QCheck.oneof [ QCheck.small_nat; QCheck.int_range 0 max_int ])
+           (QCheck.oneof [ QCheck.int_range 0 12; QCheck.int_range 0 max_int ]))
+        (fun (time, site) ->
+          let t = Relax_quorum.Timestamp.make ~time ~site in
+          let want = Fmt.str "%a" Format_ref.timestamp t in
+          Relax_quorum.Timestamp.to_string t = want
+          && Fmt.str "%a" Relax_quorum.Timestamp.pp t = want);
+      (* inside a box with break hints around them, one rendered token
+         must lay out exactly like the pieces Format used to print *)
+      QCheck.Test.make ~name:"rendered values lay out like Format in boxes"
+        ~count:200
+        (QCheck.make
+           QCheck.Gen.(list_size (int_bound 6) render_value_gen))
+        (fun vs ->
+          let boxed pp = Fmt.str "@[<hov 2>%a@]" (Fmt.list ~sep:Fmt.sp pp) vs in
+          boxed Value.pp = boxed Format_ref.value);
+    ]
+
 let history_tests =
   [
     Alcotest.test_case "append and length" `Quick (fun () ->
@@ -380,6 +483,7 @@ let () =
     [
       ("value", value_tests);
       ("op", op_tests);
+      ("render", render_tests);
       ("history", history_tests);
       ("automaton", automaton_tests);
       ("language", language_tests);

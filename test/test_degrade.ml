@@ -41,6 +41,126 @@ let run_op replica engine inv =
 (* Monitors                                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* The lag by its definition, recomputed in full on every call: the
+   up sites whose log differs from the union of all logs. *)
+let lag_definition replica =
+  let global = Replica.global_log replica in
+  List.length
+    (List.filter
+       (fun s -> not (Log.equal (Replica.site_log replica s) global))
+       (Relax_sim.Network.up_sites (Replica.network replica)))
+
+(* [Replica.lag] is memoized on a log version and the up-site list.  At
+   every controller sample of seeded adaptive runs, volatile and
+   journaled, it must equal the definition.  The journaled runs add the
+   amnesia nemesis, so between them the runs invalidate the memo by
+   every route: crash, journal recovery, wipe, gossip, absorbed updates
+   and aborted attempts. *)
+let lag_memo_test =
+  Alcotest.test_case "memoized lag equals its definition at every sample"
+    `Quick (fun () ->
+      let module X = Relax_experiments.Chaos_scenarios in
+      let adaptive = Result.get_ok (X.find "adaptive") in
+      let samples = ref 0 and diverged = ref 0 in
+      let recoveries = ref 0 and gossip = ref 0 and retries = ref 0 in
+      let wipes = ref 0 and crashes = ref 0 in
+      List.iter
+        (fun (point, durable, nemeses) ->
+          for seed = 1 to 6 do
+            let config = { Chaos.Runner.default_config with seed; requests = 40 } in
+            let trace = Result.get_ok (X.make_trace ~point ~nemeses ~config) in
+            let run ?probe () =
+              Chaos.Runner.run ~config ~durable ?probe
+                ~client:(adaptive.X.client ~sites:config.sites)
+                ~respond:Choosers.pq_eta trace.Chaos.Trace.events
+            in
+            let probe replica =
+              incr samples;
+              let memo = Replica.lag replica and def = lag_definition replica in
+              if memo > 0 then incr diverged;
+              if memo <> def then
+                Alcotest.failf "%s seed %d, sample %d: memoized lag %d, definition %d"
+                  point seed !samples memo def
+            in
+            let probed = run ~probe () in
+            Alcotest.(check string)
+              "the probe does not perturb the run" (run ()).digest probed.digest;
+            recoveries := !recoveries + probed.recoveries;
+            gossip := !gossip + probed.gossip_rounds;
+            retries := !retries + probed.retries_used;
+            List.iter
+              (fun (e : Chaos.Fault.event) ->
+                match e.action with
+                | Chaos.Fault.Wipe _ -> incr wipes
+                | Chaos.Fault.Crash _ -> incr crashes
+                | _ -> ())
+              trace.events
+          done)
+        [
+          ("adaptive", false, X.default_nemeses);
+          ("recover", true, X.default_nemeses @ [ "amnesia" ]);
+        ];
+      let covered name n = Alcotest.(check bool) name true (n > 0) in
+      covered "samples" !samples;
+      covered "samples with a positive lag" !diverged;
+      covered "journal recoveries" !recoveries;
+      covered "gossip rounds" !gossip;
+      covered "aborted, retried attempts" !retries;
+      covered "wipes" !wipes;
+      covered "crashes" !crashes)
+
+(* Each replica-level log write, called directly on a site the network
+   still counts as up, must invalidate the memo on its own: in chaos
+   runs a crash, a recovery or a wipe usually coincides with an up-set
+   change, which would hide a write that forgot to. *)
+let lag_write_test =
+  Alcotest.test_case "every log write invalidates the memoized lag" `Quick
+    (fun () ->
+      let engine = Relax_sim.Engine.create ~seed:5 () in
+      let net = Relax_sim.Network.create engine ~sites:3 in
+      let replica =
+        Replica.create engine net (pq_assignment ~n:3) ~respond:Choosers.pq_eta
+      in
+      Replica.enable_journals replica;
+      let settle () =
+        Replica.gossip replica;
+        Relax_sim.Engine.run ~until:(Relax_sim.Engine.now engine +. 1_000.0) engine
+      in
+      let lags = ref [] in
+      let check step =
+        let memo = Replica.lag replica in
+        Alcotest.(check int) step (lag_definition replica) memo;
+        lags := memo :: !lags
+      in
+      List.iter
+        (fun p ->
+          ignore (run_op replica engine (Op.inv Queue_ops.enq_name ~args:[ Value.int p ])))
+        [ 3; 1; 2 ];
+      settle ();
+      check "converged";
+      Replica.wipe_site replica 1;
+      check "after a wipe";
+      settle ();
+      check "after gossip";
+      (* site 0 is in every final quorum, so its journal synced every
+         entry: the crash empties its log and recovery restores it *)
+      Replica.crash_site replica 0;
+      check "after a journal crash";
+      Replica.recover_site replica 0;
+      check "after recovery";
+      settle ();
+      check "after gossip";
+      (match
+         Replica.checkpoint replica
+           ~watermark:(Log.max_ts (Replica.global_log replica))
+           ~summarize:Choosers.pq_summarize
+       with
+      | None -> Alcotest.fail "prefix should be stable after gossip"
+      | Some _ -> ());
+      check "after a checkpoint";
+      Alcotest.(check bool) "some write made a site lag" true
+        (List.exists (fun l -> l > 0) !lags))
+
 let monitor_tests =
   [
     Alcotest.test_case "quorum reachability tracks crashes and partitions"
@@ -180,6 +300,8 @@ let monitor_tests =
         Alcotest.(check bool)
           "settled after re-join" true
           (D.Monitor.sample m).D.Monitor.healthy);
+    lag_memo_test;
+    lag_write_test;
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -48,6 +48,28 @@ let pool_tests =
         Alcotest.(check int)
           "exactly one ran on the main domain" 1
           (List.length (List.filter snd results)));
+    Alcotest.test_case "a narrow map admits jobs-1 workers of a wider pool"
+      `Quick (fun () ->
+        (* [map ~jobs:4] leaves three workers parked; a later
+           [map ~jobs:2] wakes them all but must admit only one.  Each
+           task waits until two have started, so at least two domains
+           run them, and long enough that any extra woken worker would
+           claim one too. *)
+        ignore (Pool.map ~jobs:4 Fun.id [ 0; 1; 2; 3 ]);
+        let started = Atomic.make 0 in
+        let deadline = Unix.gettimeofday () +. 5.0 in
+        let rendezvous _ =
+          Atomic.incr started;
+          while Atomic.get started < 2 && Unix.gettimeofday () < deadline do
+            Domain.cpu_relax ()
+          done;
+          Unix.sleepf 0.002;
+          (Domain.self () :> int)
+        in
+        let domains = Pool.map ~jobs:2 rendezvous (List.init 16 Fun.id) in
+        Alcotest.(check int)
+          "distinct domains" 2
+          (List.length (List.sort_uniq compare domains)));
     Alcotest.test_case "every task runs exactly once" `Quick (fun () ->
         let hits = Array.init 64 (fun _ -> Atomic.make 0) in
         ignore

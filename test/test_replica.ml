@@ -50,6 +50,129 @@ let sample_log =
       entry 3 1 (Queue_ops.deq_int 3);
     ]
 
+(* The sorted-list log the indexed [Log] replaced, kept as the reference
+   model: entries sorted by (timestamp, operation), duplicates removed,
+   O(n) insert and O(n·m) merge. *)
+module List_log = struct
+  let rec insert l e =
+    match l with
+    | [] -> [ e ]
+    | x :: rest ->
+      let c = Log.compare_entry e x in
+      if c = 0 then l else if c < 0 then e :: l else x :: insert rest e
+
+  let of_entries es = List.fold_left insert [] es
+  let merge a b = List.fold_left insert a b
+  let to_history l = List.map Log.entry_op l
+
+  let max_ts l =
+    List.fold_left (fun acc e -> Timestamp.merge acc (Log.entry_ts e)) Timestamp.zero l
+
+  let filter = List.filter
+
+  let split_at_watermark l ts =
+    List.partition (fun e -> Timestamp.compare (Log.entry_ts e) ts <= 0) l
+
+  let compact l ~watermark ~summary =
+    let prefix, rest = split_at_watermark l watermark in
+    if prefix = [] then l
+    else begin
+      if List.length summary > Timestamp.time watermark then
+        invalid_arg "Log.compact: summary longer than the time budget";
+      let synthetic =
+        List.mapi (fun i op -> Log.entry ~ts:(ts (i + 1) 0) op) summary
+      in
+      of_entries (synthetic @ rest)
+    end
+
+  let equal a b = List.length a = List.length b && List.for_all2 Log.equal_entry a b
+end
+
+(* Entries over a small space of timestamps and operations, so that
+   duplicates, equal timestamps with different operations, and prefixes
+   shared between logs are all common. *)
+let model_entry_gen =
+  QCheck.Gen.(
+    map3
+      (fun t s op -> entry t s op)
+      (int_bound 6) (int_bound 2)
+      (oneof
+         [
+           map Queue_ops.enq_int (int_range 1 3);
+           map Queue_ops.deq_int (int_range 1 3);
+         ]))
+
+type model_case = {
+  a : Log.entry list;
+  b : Log.entry list;
+  e : Log.entry;
+  watermark : Timestamp.t;
+  summary : Op.t list;
+}
+
+let model_case_gen =
+  QCheck.Gen.(
+    let entries = list_size (int_bound 12) model_entry_gen in
+    map
+      (fun ((a, b), (e, (wt, ws)), n) ->
+        {
+          a;
+          b;
+          e;
+          watermark = ts wt ws;
+          summary = List.init n (fun i -> Queue_ops.enq_int (i + 1));
+        })
+      (triple (pair entries entries)
+         (pair model_entry_gen (pair (int_bound 7) (int_bound 2)))
+         (int_bound 8)))
+
+let print_model_case c =
+  let es l = Fmt.str "[%a]" Fmt.(list ~sep:(any "; ") Log.pp_entry) l in
+  Fmt.str "a=%s b=%s e=%a watermark=%a summary=%d" (es c.a) (es c.b)
+    Log.pp_entry c.e Timestamp.pp c.watermark (List.length c.summary)
+
+(* Does the indexed log hold exactly the model's entries, in order? *)
+let agrees log model = List_log.equal (Log.entries log) model
+
+let log_model_test =
+  QCheck.Test.make ~name:"indexed log agrees with the sorted-list model"
+    ~count:500
+    (QCheck.make ~print:print_model_case model_case_gen)
+    (fun c ->
+      let la = Log.of_entries c.a and lb = Log.of_entries c.b in
+      let ma = List_log.of_entries c.a and mb = List_log.of_entries c.b in
+      let keep e =
+        let t = Log.entry_ts e in
+        (Timestamp.time t + Timestamp.site t) mod 2 = 0
+      in
+      let outcome f = try Ok (f ()) with Invalid_argument m -> Error m in
+      let split_l = Log.split_at_watermark la c.watermark
+      and split_m = List_log.split_at_watermark ma c.watermark in
+      agrees la ma
+      && Log.length la = List.length ma
+      && agrees (Log.insert la c.e) (List_log.insert ma c.e)
+      && Log.mem la c.e = List.exists (Log.equal_entry c.e) ma
+      && agrees (Log.remove la c.e)
+           (List.filter (fun x -> not (Log.equal_entry x c.e)) ma)
+      && agrees (Log.merge la lb) (List_log.merge ma mb)
+      && agrees (Log.filter keep la) (List_log.filter keep ma)
+      && List_log.equal (fst split_l) (fst split_m)
+      && List_log.equal (snd split_l) (snd split_m)
+      && (match
+            ( outcome (fun () ->
+                  Log.entries (Log.compact la ~watermark:c.watermark ~summary:c.summary)),
+              outcome (fun () ->
+                  List_log.compact ma ~watermark:c.watermark ~summary:c.summary) )
+          with
+         | Ok l, Ok m -> List_log.equal l m
+         | Error x, Error y -> x = y
+         | _ -> false)
+      && Timestamp.equal (Log.max_ts la) (List_log.max_ts ma)
+      && History.equal (Log.to_history la) (List_log.to_history ma)
+      && Log.equal la lb = List_log.equal ma mb
+      && Log.equal la (Log.of_entries (List.rev c.a @ c.a))
+      && Log.is_empty la = (ma = []))
+
 let log_tests =
   [
     Alcotest.test_case "the Section 3.1 schematic three-site log" `Quick
@@ -97,6 +220,7 @@ let log_tests =
            Log.equal (Log.merge a b) (Log.merge b a)
            && Log.equal (Log.merge a (Log.merge b c)) (Log.merge (Log.merge a b) c)
            && Log.equal (Log.merge a a) a));
+    QCheck_alcotest.to_alcotest log_model_test;
   ]
 
 (* ------------------------------------------------------------------ *)
