@@ -4,8 +4,8 @@
 
      rlx check [all]      run every registered claim (default)
      rlx check <group>    one claim group (pq, collapses, account, prob,
-                          fig42, availability, taxi, chaos, degrade, atm,
-                          spooler, markov, fifo)
+                          fig42, availability, taxi, chaos, ldfi,
+                          degrade, relax, atm, spooler, markov, fifo)
      rlx check list       list every claim id in the registry
      rlx check --only 'pq/*'         select claims by id glob
      rlx check all --format json     machine-readable verdicts (or tap)
@@ -55,7 +55,22 @@ let out = Fmt.stdout
 
 let exit_of b = if b then 0 else 1
 
+(* A usage error (an unknown name, an unreadable input) is one line on
+   stderr and exit code 2. *)
+let usage_error fmt =
+  Fmt.kstr
+    (fun msg ->
+      Fmt.epr "%s@." msg;
+      2)
+    fmt
+
 let apply_jobs jobs = Option.iter Relax_parallel.Pool.set_default_jobs jobs
+
+(* The "a | b | c" lists of help texts and error messages. *)
+let alts = String.concat " | "
+
+let write_file path text =
+  Out_channel.with_open_text path (fun oc -> output_string oc text)
 
 (* --- tracing -------------------------------------------------------- *)
 
@@ -74,182 +89,48 @@ let write_trace path tracer =
     (Relax_obs.Tracer.event_count tracer)
     path
 
-(* Run [f] with an ambient tracer installed when --trace-out was given. *)
-let with_trace trace_out f =
-  match trace_out with
-  | None -> f ()
-  | Some path ->
+let print_table tracer =
+  Fmt.pr "%a"
+    (Relax_obs.Export.pp Relax_obs.Export.Table)
+    (Relax_obs.Export.sort (Relax_obs.Tracer.events tracer))
+
+(* Run [f] with an ambient tracer installed when --trace-out was given.
+   With [~table] (the `rlx trace` subcommands) it is always traced, and
+   without --trace-out the aggregated table goes to stdout. *)
+let with_trace ?(table = false) trace_out f =
+  if trace_out = None && not table then f ()
+  else
     let tracer = Relax_obs.Tracer.create () in
     let code = Relax_obs.Tracer.Ambient.with_tracer tracer f in
-    write_trace path tracer;
+    (match trace_out with
+    | Some path -> write_trace path tracer
+    | None -> print_table tracer);
     code
 
-(* Like [with_trace], but always traced: without --trace-out the
-   aggregated table goes to stdout (the `rlx trace` subcommands). *)
-let run_traced trace_out f =
-  let tracer = Relax_obs.Tracer.create () in
-  let code = Relax_obs.Tracer.Ambient.with_tracer tracer f in
-  (match trace_out with
-  | Some path -> write_trace path tracer
-  | None ->
-    Fmt.pr "%a"
-      (Relax_obs.Export.pp Relax_obs.Export.Table)
-      (Relax_obs.Export.sort (Relax_obs.Tracer.events tracer)));
-  code
+(* --- the shared flag vocabulary ------------------------------------- *)
 
-(* The check command is entirely registry-driven: group dispatch, the
-   unknown-check hint and the listing all derive from the claim catalog,
-   so a new group registers itself everywhere at once.  Claims are fanned
-   out over domains by the engine and rendered by the selected reporter;
-   the human format is byte-identical to the historical output at any
-   degree of parallelism. *)
-(* Group/glob selection shared by check, profile check and trace check. *)
-let select_registry what only depth strategy =
-  let module R = Relax_claims.Registry in
-  let registry = Relax_experiments.Catalog.registry ~depth ~strategy () in
-  let known = R.group_ids registry in
-  if what <> "all" && not (List.mem what known) then
-    Error
-      (Fmt.str "unknown check %S (expected %s | all | list)" what
-         (String.concat " | " known))
-  else
-    let selected =
-      let by_group =
-        if what = "all" then registry
-        else R.select registry ~pattern:(what ^ "/*")
-      in
-      match only with
-      | None -> by_group
-      | Some pattern -> R.select by_group ~pattern
-    in
-    if R.all_claims selected = [] then
-      Error
-        (match only with
-        | Some pattern ->
-          Fmt.str "no claims match --only %S (see 'rlx check list')" pattern
-        | None -> "no claims selected")
-    else Ok selected
+(* A flag that means the same thing in several subcommands is declared
+   once, below: its names, aliases and docv live here, and each
+   subcommand supplies only its default and its doc.  Where an
+   experiment keeps its own historical value when the flag is absent,
+   the converter is [Arg.some c] and the default [None]. *)
+let shared names docv c default ~doc =
+  Arg.(value & opt c default & info names ~docv ~doc)
 
-let run_check what only format depth strategy jobs trace_out =
-  apply_jobs jobs;
-  let module R = Relax_claims.Registry in
-  let module C = Relax_claims.Claim in
-  if what = "list" then begin
-    let registry = Relax_experiments.Catalog.registry ~depth ~strategy () in
-    List.iter
-      (fun (g : R.group) ->
-        Fmt.pr "%s — %s@." g.R.gid g.R.title;
-        List.iter
-          (fun (c : C.t) ->
-            Fmt.pr "  %-32s %-17s %s  [%s]@." c.C.id
-              (C.kind_to_string c.C.kind)
-              c.C.description c.C.paper)
-          g.R.claims)
-      (R.groups registry);
-    0
-  end
-  else
-    match select_registry what only depth strategy with
-    | Error e ->
-      Fmt.epr "%s@." e;
-      2
-    | Ok selected ->
-      let results = Relax_claims.Engine.run selected in
-      (* claims fan out over domains, so the trace is synthesized from
-         the measured outcomes rather than recorded ambiently *)
-      (match trace_out with
-      | None -> ()
-      | Some path ->
-        let tracer = Relax_obs.Tracer.create () in
-        Relax_claims.Engine.record_trace tracer results;
-        write_trace path tracer);
-      Relax_claims.Reporter.pp format out results;
-      exit_of (Relax_claims.Engine.ok results)
-
-(* The trait/interface figures print their checked sources; 4-2 and 5-1
-   are regenerated from the lattice machinery and the case studies. *)
-let run_figure which =
-  let show_trait src =
-    Fmt.pr "%a@." Relax_larch.Printer.pp_trait
-      (Relax_larch.Parser.trait_of_string src);
-    0
+(* A count that must be positive is refused at parse time (exit 124),
+   instead of reaching the library's invalid_arg as an uncaught
+   exception or running an empty workload. *)
+let positive conv zero what =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok n when n > zero -> Ok n
+    | Ok _ -> Error (`Msg ("expected a positive " ^ what))
+    | Error _ as e -> e
   in
-  let show_iface src =
-    Fmt.pr "%a@." Relax_larch.Printer.pp_iface
-      (Relax_larch.Parser.iface_of_string src);
-    0
-  in
-  match which with
-  | "2-1" -> show_trait Relax_larch.Theories.bag_src
-  | "2-2" -> show_iface Relax_larch.Theories.bag_iface_src
-  | "2-3" -> show_trait Relax_larch.Theories.fifoq_src
-  | "2-4" -> show_iface Relax_larch.Theories.fifo_iface_src
-  | "3-1" -> show_trait Relax_larch.Theories.pqueue_src
-  | "3-2" -> show_iface Relax_larch.Theories.pqueue_iface_src
-  | "3-3" -> show_iface Relax_larch.Theories.mpq_iface_src
-  | "3-4" -> show_iface Relax_larch.Theories.bag_iface_src
-  | "3-5" -> show_iface Relax_larch.Theories.degen_iface_src
-  | "4-1" -> show_iface (Relax_larch.Theories.semiqueue_iface_src ~k:2)
-  | "4-3" -> show_iface (Relax_larch.Theories.stuttering_iface_src ~j:2)
-  | "4-2" -> exit_of (Relax_experiments.Fig42.run out ())
-  | "5-1" -> exit_of (Relax_experiments.Fig51.run out ())
-  | other ->
-    Fmt.epr
-      "unknown figure %S (expected 2-1..2-4 | 3-1..3-5 | 4-1..4-3 | 5-1)@."
-      other;
-    2
+  Arg.conv (parse, Arg.conv_printer conv)
 
-(* Every simulation accepts --seed: the experiments default to their
-   historical seeds, so a bare `rlx simulate X` is byte-stable, while
-   --seed reseeds the whole fault trace (amnesia and spooler sweep a
-   window of consecutive seeds starting at the given one). *)
-let run_simulate_on ?timeout ?retries ?backoff ppf which seed =
-  match which with
-  | "taxi" ->
-    let params =
-      Option.map
-        (fun seed -> { Relax_experiments.Taxi.default_params with seed })
-        seed
-    in
-    exit_of
-      (Relax_experiments.Taxi.run ?params ?timeout ?retries ?backoff ppf ())
-  | "partition" ->
-    exit_of
-      (Relax_experiments.Partition.run ?seed ?timeout ?retries ?backoff ppf ())
-  | "adaptive" ->
-    let params =
-      Option.map
-        (fun seed -> { Relax_experiments.Adaptive.default_params with seed })
-        seed
-    in
-    exit_of
-      (Relax_experiments.Adaptive.run ?params ?timeout ?retries ?backoff ppf ())
-  | "amnesia" ->
-    let seeds = Option.map (fun s -> List.init 5 (fun i -> s + i)) seed in
-    exit_of
-      (Relax_experiments.Amnesia.run ?seeds ?timeout ?retries ?backoff ppf ())
-  | "atm" ->
-    let params =
-      Option.map
-        (fun seed -> { Relax_experiments.Atm.default_params with seed })
-        seed
-    in
-    exit_of
-      (Relax_experiments.Atm.run ?params ?timeout ?retries ?backoff ppf ())
-  | "spooler" ->
-    if timeout <> None || retries <> None || backoff <> None then
-      Fmt.epr
-        "note: --timeout/--retries/--backoff do not apply to the spooler \
-         (no replica client)@.";
-    let seeds = Option.map (fun s -> List.init 3 (fun i -> s + i)) seed in
-    exit_of (Relax_experiments.Spooler.run ?seeds ppf ())
-  | other ->
-    Fmt.epr "unknown simulation %S (expected taxi | partition | adaptive | amnesia | atm | spooler)@." other;
-    2
-
-let run_simulate which seed timeout retries backoff trace_out =
-  with_trace trace_out (fun () ->
-      run_simulate_on ?timeout ?retries ?backoff out which seed)
+let positive_int = positive Arg.int 0
+let positive_float = positive Arg.float 0.0
 
 let depth_arg =
   let doc =
@@ -281,82 +162,341 @@ let method_arg =
     & info [ "method"; "m" ] ~docv:"METHOD" ~doc)
 
 let jobs_arg =
+  shared [ "jobs"; "j" ] "N"
+    Arg.(some (positive_int "number of jobs"))
+    None
+    ~doc:
+      "Number of domains for parallel fan-out (default: $(b,RLX_JOBS) or \
+       the recommended domain count)."
+
+let trace_out_arg =
+  shared [ "trace-out" ] "FILE"
+    Arg.(some string)
+    None
+    ~doc:
+      "Write a trace of the run to $(docv): Chrome trace_event JSON \
+       (loadable in Perfetto or chrome://tracing), or JSON lines when \
+       $(docv) ends in $(b,.jsonl)."
+
+let seed_arg c = shared [ "seed"; "s" ] "SEED" c
+let run_seed_arg = seed_arg Arg.int Relax_sim.Engine.default_seed
+let runs_arg = shared [ "runs"; "n" ] "N" Arg.int
+let ops_arg = shared [ "ops"; "n" ] "N" Arg.int
+let sites_arg c = shared [ "sites" ] "N" c
+let point_arg c = shared [ "point" ] "POINT" c
+let out_arg = shared [ "out" ] "FILE" Arg.(some string) None
+
+let trace_prefix_arg default =
+  shared [ "trace-prefix" ] "PREFIX" Arg.string default
+    ~doc:"Filename prefix for shrunken violation traces."
+
+let sim_seed_arg =
+  seed_arg Arg.(some int) None
+    ~doc:
+      "Seed for the simulation's random streams (fault trace, workload, \
+       latencies).  Defaults to the experiment's historical seed, so runs \
+       without $(opt) are byte-stable."
+
+(* An empty list (the flag's absence) stands for [all]. *)
+let list_arg opt_name ~all ~doc =
+  let arg =
+    Arg.(value & opt (list string) [] & info [ opt_name ] ~docv:"LIST" ~doc)
+  in
+  Term.(const (function [] -> all | l -> l) $ arg)
+
+let nemesis_arg ~doc =
+  list_arg "nemesis" ~all:Relax_experiments.Chaos_scenarios.default_nemeses
+    ~doc
+
+let nemesis_names = alts (List.map fst Relax_chaos.Nemesis.known)
+
+let scenario_names = alts Relax_experiments.Chaos_scenarios.names
+
+let points_arg ~verb =
   let doc =
-    "Number of domains for parallel fan-out (default: $(b,RLX_JOBS) or the \
-     recommended domain count)."
+    Fmt.str "Comma-separated lattice points to %s (%s).  Defaults to all." verb
+      scenario_names
   in
-  let positive =
-    let parse s =
-      match Arg.conv_parser Arg.int s with
-      | Ok n when n >= 1 -> Ok n
-      | Ok _ -> Error (`Msg "expected a positive number of jobs")
-      | Error _ as e -> e
-    in
-    Arg.conv (parse, Arg.conv_printer Arg.int)
-  in
-  Arg.(value & opt (some positive) None & info [ "jobs"; "j" ] ~doc ~docv:"N")
+  list_arg "points" ~all:Relax_experiments.Chaos_scenarios.names ~doc
+
+(* The POINT positional; [kind] as for [file_arg]. *)
+let point_pos kind c default ~what =
+  let doc = Fmt.str "%s (%s)." what scenario_names in
+  Arg.(kind & pos 0 c default & info [] ~docv:"POINT" ~doc)
+
+(* [kind] is [Arg.required] or, where the file is optional, [Arg.value]. *)
+let file_arg kind ~doc =
+  Arg.(kind & pos 0 (some string) None & info [] ~docv:"FILE" ~doc)
 
 let what_arg ~doc =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"WHAT" ~doc)
 
-let trace_out_arg =
+let group_arg ~doc =
+  Arg.(value & pos 0 string "all" & info [] ~docv:"WHAT" ~doc)
+
+let format_arg choices ~doc =
+  Arg.(
+    value
+    & opt (enum choices) (snd (List.hd choices))
+    & info [ "format"; "f" ] ~docv:"FORMAT" ~doc)
+
+let only_arg =
   let doc =
-    "Write a trace of the run to $(docv): Chrome trace_event JSON \
-     (loadable in Perfetto or chrome://tracing), or JSON lines when \
-     $(docv) ends in $(b,.jsonl)."
+    "Only run claims whose id matches $(docv) ($(b,*) matches any \
+     substring), e.g. $(b,--only 'pq/*') or $(b,--only '*/monotone')."
   in
-  Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE" ~doc)
+  Arg.(value & opt (some string) None & info [ "only" ] ~docv:"GLOB" ~doc)
+
+(* The replica client's knobs, exposed uniformly on `rlx simulate`,
+   `rlx chaos run`, `rlx degrade` and `rlx ldfi`.  Left unset they keep
+   each experiment's historical values, so default runs stay
+   byte-stable. *)
+type knobs = {
+  timeout : float option;
+  retries : int option;
+  backoff : float option;
+}
+
+let no_knobs = { timeout = None; retries = None; backoff = None }
+
+let knobs_arg =
+  let timeout =
+    let doc =
+      "Per-attempt quorum timeout, in engine time units.  Defaults to the \
+       experiment's historical value."
+    in
+    Arg.(value & opt (some float) None & info [ "timeout" ] ~docv:"TIME" ~doc)
+  and retries =
+    let doc =
+      "Retry budget per operation (attempts after the first).  Defaults to \
+       the replica runtime's value."
+    in
+    Arg.(value & opt (some int) None & info [ "retries" ] ~docv:"N" ~doc)
+  and backoff =
+    let doc =
+      "Base retry backoff in engine time units, doubled on each further \
+       attempt and jittered deterministically per seed.  Defaults to the \
+       replica runtime's value."
+    in
+    Arg.(value & opt (some float) None & info [ "backoff" ] ~docv:"TIME" ~doc)
+  in
+  Term.(
+    const (fun timeout retries backoff -> { timeout; retries; backoff })
+    $ timeout $ retries $ backoff)
+
+(* One Runner.config: the knobs, and LDFI's workload size, folded over
+   [base] (an unset flag keeps the base's value). *)
+let configure ?sites ?requests knobs (base : Relax_chaos.Runner.config) =
+  let ( |? ) o d = Option.value o ~default:d in
+  {
+    base with
+    sites = sites |? base.sites;
+    requests = requests |? base.requests;
+    timeout = knobs.timeout |? base.timeout;
+    retries = knobs.retries |? base.retries;
+    backoff = knobs.backoff |? base.backoff;
+  }
+
+(* A command's exit table: what 0 and 1 mean for it, 2 where it
+   documents its usage errors, then cmdliner's own codes. *)
+let exits ?usage ok failed =
+  Cmd.Exit.info ~doc:ok 0
+  :: Cmd.Exit.info ~doc:failed 1
+  :: (match usage with Some doc -> [ Cmd.Exit.info ~doc 2 ] | None -> [])
+  @ List.filter (fun i -> Cmd.Exit.info_code i > 2) Cmd.Exit.defaults
+
+(* --- rlx check / figure / simulate ---------------------------------- *)
+
+(* The check command is entirely registry-driven: group dispatch, the
+   unknown-check hint and the listing all derive from the claim catalog,
+   so a new group registers itself everywhere at once.  Claims are fanned
+   out over domains by the engine and rendered by the selected reporter;
+   the human format is byte-identical to the historical output at any
+   degree of parallelism. *)
+(* Group/glob selection shared by check, profile check and trace check. *)
+let select_registry what only depth strategy =
+  let module R = Relax_claims.Registry in
+  let registry = Relax_experiments.Catalog.registry ~depth ~strategy () in
+  let known = R.group_ids registry in
+  if what <> "all" && not (List.mem what known) then
+    Error
+      (Fmt.str "unknown check %S (expected %s | all | list)" what (alts known))
+  else
+    let selected =
+      let by_group =
+        if what = "all" then registry
+        else R.select registry ~pattern:(what ^ "/*")
+      in
+      match only with
+      | None -> by_group
+      | Some pattern -> R.select by_group ~pattern
+    in
+    if R.all_claims selected = [] then
+      Error
+        (match only with
+        | Some pattern ->
+          Fmt.str "no claims match --only %S (see 'rlx check list')" pattern
+        | None -> "no claims selected")
+    else Ok selected
+
+(* Claims fan out over domains, so a claim run's trace is synthesized
+   from the measured outcomes (Engine.record_trace) instead of recorded
+   ambiently: durations are wall clock, stats are the deterministic
+   memo/product counters.  [report] renders the results on stdout;
+   [table] prints the span table when no --trace-out is given (trace
+   check). *)
+let run_claims ?report ~table what only depth strategy jobs trace_out =
+  apply_jobs jobs;
+  match select_registry what only depth strategy with
+  | Error e -> usage_error "%s" e
+  | Ok selected ->
+    let results = Relax_claims.Engine.run selected in
+    if table || trace_out <> None then begin
+      let tracer = Relax_obs.Tracer.create () in
+      Relax_claims.Engine.record_trace tracer results;
+      match trace_out with
+      | Some path -> write_trace path tracer
+      | None -> print_table tracer
+    end;
+    Option.iter (fun f -> Relax_claims.Reporter.pp f out results) report;
+    exit_of (Relax_claims.Engine.ok results)
+
+let run_check what only format depth strategy jobs trace_out =
+  let module R = Relax_claims.Registry in
+  let module C = Relax_claims.Claim in
+  if what = "list" then begin
+    let registry = Relax_experiments.Catalog.registry ~depth ~strategy () in
+    List.iter
+      (fun (g : R.group) ->
+        Fmt.pr "%s — %s@." g.R.gid g.R.title;
+        List.iter
+          (fun (c : C.t) ->
+            Fmt.pr "  %-32s %-17s %s  [%s]@." c.C.id
+              (C.kind_to_string c.C.kind)
+              c.C.description c.C.paper)
+          g.R.claims)
+      (R.groups registry);
+    0
+  end
+  else
+    run_claims ~report:format ~table:false what only depth strategy jobs
+      trace_out
+
+(* The trait/interface figures print their checked sources; 4-2 and 5-1
+   are regenerated from the lattice machinery and the case studies. *)
+let run_figure which =
+  let show_trait src =
+    Fmt.pr "%a@." Relax_larch.Printer.pp_trait
+      (Relax_larch.Parser.trait_of_string src);
+    0
+  in
+  let show_iface src =
+    Fmt.pr "%a@." Relax_larch.Printer.pp_iface
+      (Relax_larch.Parser.iface_of_string src);
+    0
+  in
+  match which with
+  | "2-1" -> show_trait Relax_larch.Theories.bag_src
+  | "2-2" -> show_iface Relax_larch.Theories.bag_iface_src
+  | "2-3" -> show_trait Relax_larch.Theories.fifoq_src
+  | "2-4" -> show_iface Relax_larch.Theories.fifo_iface_src
+  | "3-1" -> show_trait Relax_larch.Theories.pqueue_src
+  | "3-2" -> show_iface Relax_larch.Theories.pqueue_iface_src
+  | "3-3" -> show_iface Relax_larch.Theories.mpq_iface_src
+  | "3-4" -> show_iface Relax_larch.Theories.bag_iface_src
+  | "3-5" -> show_iface Relax_larch.Theories.degen_iface_src
+  | "4-1" -> show_iface (Relax_larch.Theories.semiqueue_iface_src ~k:2)
+  | "4-3" -> show_iface (Relax_larch.Theories.stuttering_iface_src ~j:2)
+  | "4-2" -> exit_of (Relax_experiments.Fig42.run out ())
+  | "5-1" -> exit_of (Relax_experiments.Fig51.run out ())
+  | other ->
+    usage_error
+      "unknown figure %S (expected 2-1..2-4 | 3-1..3-5 | 4-1..4-3 | 5-1)" other
+
+(* Every simulation accepts --seed: the experiments default to their
+   historical seeds, so a bare `rlx simulate X` is byte-stable, while
+   --seed reseeds the whole fault trace (amnesia and spooler sweep a
+   window of consecutive seeds starting at the given one). *)
+let simulations =
+  let module E = Relax_experiments in
+  let window n = Option.map (fun s -> List.init n (fun i -> s + i)) in
+  [
+    ( "taxi",
+      fun { timeout; retries; backoff } ppf seed ->
+        let params =
+          Option.map (fun seed -> { E.Taxi.default_params with seed }) seed
+        in
+        E.Taxi.run ?params ?timeout ?retries ?backoff ppf () );
+    ( "partition",
+      fun { timeout; retries; backoff } ppf seed ->
+        E.Partition.run ?seed ?timeout ?retries ?backoff ppf () );
+    ( "adaptive",
+      fun { timeout; retries; backoff } ppf seed ->
+        let params =
+          Option.map (fun seed -> { E.Adaptive.default_params with seed }) seed
+        in
+        E.Adaptive.run ?params ?timeout ?retries ?backoff ppf () );
+    ( "amnesia",
+      fun { timeout; retries; backoff } ppf seed ->
+        E.Amnesia.run ?seeds:(window 5 seed) ?timeout ?retries ?backoff ppf
+          () );
+    ( "atm",
+      fun { timeout; retries; backoff } ppf seed ->
+        let params =
+          Option.map (fun seed -> { E.Atm.default_params with seed }) seed
+        in
+        E.Atm.run ?params ?timeout ?retries ?backoff ppf () );
+    ( "spooler",
+      fun knobs ppf seed ->
+        if knobs <> no_knobs then
+          Fmt.epr
+            "note: --timeout/--retries/--backoff do not apply to the spooler \
+             (no replica client)@.";
+        E.Spooler.run ?seeds:(window 3 seed) ppf () );
+  ]
+
+let simulation_names = alts (List.map fst simulations)
+
+let run_simulate_on knobs ppf which seed =
+  match List.assoc_opt which simulations with
+  | Some run -> exit_of (run knobs ppf seed)
+  | None ->
+    usage_error "unknown simulation %S (expected %s)" which simulation_names
+
+let run_simulate which seed knobs trace_out =
+  with_trace trace_out (fun () -> run_simulate_on knobs out which seed)
 
 let check_cmd =
   let doc = "Run the registered claim checks." in
   let what =
-    let doc =
-      "What to check: a claim group (pq | collapses | account | prob | \
-       fig42 | availability | taxi | chaos | degrade | atm | spooler | \
-       markov | fifo), $(b,all) (the default), or $(b,list) to list every \
-       claim id."
+    let groups =
+      Relax_claims.Registry.group_ids (Relax_experiments.Catalog.registry ())
     in
-    Arg.(value & pos 0 string "all" & info [] ~docv:"WHAT" ~doc)
-  in
-  let only =
-    let doc =
-      "Only run claims whose id matches $(docv) ($(b,*) matches any \
-       substring), e.g. $(b,--only 'pq/*') or $(b,--only '*/monotone')."
-    in
-    Arg.(value & opt (some string) None & info [ "only" ] ~docv:"GLOB" ~doc)
+    group_arg
+      ~doc:
+        (Fmt.str
+           "What to check: a claim group (%s), $(b,all) (the default), or \
+            $(b,list) to list every claim id."
+           (alts groups))
   in
   let format =
-    let doc =
-      "Output format: $(b,human) (the legacy report), $(b,json) (one \
-       document with per-claim status, counterexample and checker stats) \
-       or $(b,tap) (TAP v14)."
-    in
-    Arg.(
-      value
-      & opt
-          (enum
-             [
-               ("human", Relax_claims.Reporter.Human);
-               ("json", Relax_claims.Reporter.Json);
-               ("tap", Relax_claims.Reporter.Tap);
-             ])
-          Relax_claims.Reporter.Human
-      & info [ "format"; "f" ] ~docv:"FORMAT" ~doc)
+    format_arg
+      Relax_claims.Reporter.[ ("human", Human); ("json", Json); ("tap", Tap) ]
+      ~doc:
+        "Output format: $(b,human) (the legacy report), $(b,json) (one \
+         document with per-claim status, counterexample and checker stats) \
+         or $(b,tap) (TAP v14)."
   in
   let exits =
-    Cmd.Exit.info ~doc:"every selected claim passed." 0
-    :: Cmd.Exit.info ~doc:"at least one claim failed or raised." 1
-    :: Cmd.Exit.info
-         ~doc:
-           "usage error: unknown check group, or an $(b,--only) glob \
-            matching no claim."
-         2
-    :: List.filter (fun i -> Cmd.Exit.info_code i > 2) Cmd.Exit.defaults
+    exits "every selected claim passed." "at least one claim failed or raised."
+      ~usage:
+        "usage error: unknown check group, or an $(b,--only) glob matching \
+         no claim."
   in
   Cmd.v
     (Cmd.info "check" ~doc ~exits)
     Term.(
-      const run_check $ what $ only $ format $ depth_arg $ method_arg
+      const run_check $ what $ only_arg $ format $ depth_arg $ method_arg
       $ jobs_arg $ trace_out_arg)
 
 let figure_cmd =
@@ -365,116 +505,68 @@ let figure_cmd =
   in
   Cmd.v (Cmd.info "figure" ~doc) Term.(const run_figure $ what_arg ~doc)
 
-let seed_arg =
-  let doc =
-    "Seed for the simulation's random streams (fault trace, workload, \
-     latencies).  Defaults to the experiment's historical seed, so runs \
-     without $(opt) are byte-stable."
-  in
-  Arg.(value & opt (some int) None & info [ "seed"; "s" ] ~docv:"SEED" ~doc)
-
-(* The replica client's knobs, exposed uniformly on `rlx simulate` and
-   `rlx chaos run`/`rlx degrade`.  Left unset they keep each
-   experiment's historical values, so default runs stay byte-stable. *)
-let timeout_arg =
-  let doc =
-    "Per-attempt quorum timeout, in engine time units.  Defaults to the \
-     experiment's historical value."
-  in
-  Arg.(value & opt (some float) None & info [ "timeout" ] ~docv:"TIME" ~doc)
-
-let retries_arg =
-  let doc =
-    "Retry budget per operation (attempts after the first).  Defaults to \
-     the replica runtime's value."
-  in
-  Arg.(value & opt (some int) None & info [ "retries" ] ~docv:"N" ~doc)
-
-let backoff_arg =
-  let doc =
-    "Base retry backoff in engine time units, doubled on each further \
-     attempt and jittered deterministically per seed.  Defaults to the \
-     replica runtime's value."
-  in
-  Arg.(value & opt (some float) None & info [ "backoff" ] ~docv:"TIME" ~doc)
-
 let simulate_cmd =
-  let doc =
-    "Run a case-study simulation (taxi | partition | adaptive | amnesia | \
-     atm | spooler)."
-  in
+  let doc = Fmt.str "Run a case-study simulation (%s)." simulation_names in
   Cmd.v (Cmd.info "simulate" ~doc)
     Term.(
-      const run_simulate $ what_arg ~doc $ seed_arg $ timeout_arg
-      $ retries_arg $ backoff_arg $ trace_out_arg)
+      const run_simulate $ what_arg ~doc $ sim_seed_arg $ knobs_arg
+      $ trace_out_arg)
 
 (* ------------------------------------------------------------------ *)
 (* rlx chaos                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let module_sep_list = Arg.list Arg.string
+(* A shrunken violation, saved as PREFIX-KEY.trace. *)
+let save_shrunk prefix key trace =
+  let path = Fmt.str "%s-%s.trace" prefix key in
+  Relax_chaos.Trace.save path trace;
+  Fmt.pr "shrunken trace written to %s (replay with 'rlx chaos replay %s')@\n"
+    path path
 
-(* One Runner.config with the CLI's client knobs folded over the
-   defaults (unset flags keep the historical values). *)
-let chaos_config ?timeout ?retries ?backoff () =
-  let d = Relax_chaos.Runner.default_config in
-  {
-    d with
-    Relax_chaos.Runner.timeout =
-      Option.value timeout ~default:d.Relax_chaos.Runner.timeout;
-    retries = Option.value retries ~default:d.Relax_chaos.Runner.retries;
-    backoff = Option.value backoff ~default:d.Relax_chaos.Runner.backoff;
-  }
-
-let run_chaos_run runs seed nemeses points jobs no_shrink timeout retries
-    backoff trace_prefix trace_out =
+let run_chaos_run runs seed nemeses points jobs no_shrink knobs trace_prefix
+    trace_out =
   apply_jobs jobs;
   let module X = Relax_experiments.Chaos_scenarios in
-  let nemeses =
-    if nemeses = [] then X.default_nemeses else nemeses
-  in
-  let points = if points = [] then X.names else points in
-  let config = chaos_config ?timeout ?retries ?backoff () in
+  let config = configure knobs Relax_chaos.Runner.default_config in
   with_trace trace_out @@ fun () ->
   match
     X.sweep ?jobs ~config ~shrink:(not no_shrink) ~runs ~seed ~nemeses ~points
       ()
   with
-  | Error e ->
-    Fmt.epr "%s@." e;
-    2
+  | Error e -> usage_error "%s" e
   | Ok report ->
     Fmt.pr "== chaos: %d runs, seed %d, nemeses %s ==@\n" runs seed
       (String.concat "," nemeses);
     Fmt.pr "%a" X.pp_summary report;
     List.iter
       (fun (v : X.violation) ->
-        let path = Fmt.str "%s-%d.trace" trace_prefix v.report.X.index in
-        Relax_chaos.Trace.save path v.shrunk;
-        Fmt.pr "shrunken trace written to %s (replay with 'rlx chaos replay \
-                %s')@\n"
-          path path)
+        save_shrunk trace_prefix (string_of_int v.report.X.index) v.shrunk)
       report.X.violations;
     Fmt.pr "conformance: %d/%d runs in their predicted language@."
       (List.length report.X.reports - List.length report.X.violations)
       (List.length report.X.reports);
     exit_of (report.X.violations = [])
 
+let load_trace file =
+  match Relax_chaos.Trace.load file with
+  | trace -> Ok trace
+  | exception Sys_error e -> Error ("cannot read trace: " ^ e)
+  | exception Relax_chaos.Sexp.Parse_error e ->
+    Error (Fmt.str "malformed trace %s: %s" file e)
+
+(* A fresh run of [point] under [nemeses], seeded with [seed]. *)
+let generate_trace ~point ~seed ~nemeses =
+  let config = { Relax_chaos.Runner.default_config with seed } in
+  Relax_experiments.Chaos_scenarios.make_trace ~point ~nemeses ~config
+
 let run_chaos_replay file verbose trace_out =
   let module X = Relax_experiments.Chaos_scenarios in
   with_trace trace_out @@ fun () ->
-  match Relax_chaos.Trace.load file with
-  | exception Sys_error e ->
-    Fmt.epr "cannot read trace: %s@." e;
-    2
-  | exception Relax_chaos.Sexp.Parse_error e ->
-    Fmt.epr "malformed trace %s: %s@." file e;
-    2
-  | trace -> (
+  match load_trace file with
+  | Error e -> usage_error "%s" e
+  | Ok trace -> (
     match X.run_trace trace with
-    | Error e ->
-      Fmt.epr "%s@." e;
-      2
+    | Error e -> usage_error "%s" e
     | Ok (result, verdict) ->
       if verbose then Fmt.pr "%a@\n" Relax_chaos.Trace.pp trace;
       Fmt.pr "point %s, seed %d: %d completed, %d unavailable, %d retries, \
@@ -502,45 +594,25 @@ let run_chaos_list () =
   0
 
 let chaos_cmd =
-  let runs_arg =
-    let doc = "Number of seeded runs (run $(i,i) uses seed $(i,SEED+i))." in
-    Arg.(value & opt int 50 & info [ "runs"; "n" ] ~docv:"N" ~doc)
-  in
-  let chaos_seed_arg =
-    let doc = "Root seed of the sweep." in
-    Arg.(
-      value
-      & opt int Relax_sim.Engine.default_seed
-      & info [ "seed"; "s" ] ~docv:"SEED" ~doc)
-  in
-  let nemesis_arg =
-    let doc =
-      "Comma-separated nemesis mix (crash | partition | drop | delay | dup \
-       | skew | rejoin | amnesia; see $(b,rlx chaos list)).  Defaults to \
-       every assumption-preserving nemesis — amnesia is opt-in because it \
-       deliberately violates the stable-storage assumption and SHOULD \
-       produce violations."
-    in
-    Arg.(value & opt module_sep_list [] & info [ "nemesis" ] ~docv:"LIST" ~doc)
-  in
-  let points_arg =
-    let doc =
-      "Comma-separated lattice points to cycle over (top | q1 | q2 | bottom \
-       | adaptive).  Defaults to all."
-    in
-    Arg.(value & opt module_sep_list [] & info [ "points" ] ~docv:"LIST" ~doc)
-  in
-  let no_shrink_arg =
-    let doc = "Report violations without shrinking them." in
-    Arg.(value & flag & info [ "no-shrink" ] ~doc)
-  in
-  let trace_prefix_arg =
-    let doc = "Filename prefix for shrunken violation traces." in
-    Arg.(
-      value & opt string "chaos-violation"
-      & info [ "trace-prefix" ] ~docv:"PREFIX" ~doc)
-  in
   let run_cmd =
+    let runs_arg =
+      runs_arg 50
+        ~doc:"Number of seeded runs (run $(i,i) uses seed $(i,SEED+i))."
+    in
+    let nemesis_arg =
+      nemesis_arg
+        ~doc:
+          (Fmt.str
+             "Comma-separated nemesis mix (%s; see $(b,rlx chaos list)).  \
+              Defaults to every assumption-preserving nemesis — amnesia is \
+              opt-in because it deliberately violates the stable-storage \
+              assumption and SHOULD produce violations."
+             nemesis_names)
+    in
+    let no_shrink_arg =
+      let doc = "Report violations without shrinking them." in
+      Arg.(value & flag & info [ "no-shrink" ] ~doc)
+    in
     let doc =
       "Run seeded chaos sweeps: generate a nemesis fault schedule per run, \
        execute it on the replica runtime, and check every completed \
@@ -549,25 +621,26 @@ let chaos_cmd =
     in
     Cmd.v (Cmd.info "run" ~doc)
       Term.(
-        const run_chaos_run $ runs_arg $ chaos_seed_arg $ nemesis_arg
-        $ points_arg $ jobs_arg $ no_shrink_arg $ timeout_arg $ retries_arg
-        $ backoff_arg $ trace_prefix_arg $ trace_out_arg)
+        const run_chaos_run $ runs_arg
+        $ run_seed_arg ~doc:"Root seed of the sweep."
+        $ nemesis_arg $ points_arg ~verb:"cycle over" $ jobs_arg
+        $ no_shrink_arg $ knobs_arg
+        $ trace_prefix_arg "chaos-violation"
+        $ trace_out_arg)
   in
   let replay_cmd =
     let doc =
       "Replay a recorded fault trace bit-for-bit and re-judge its history \
        against the conformance oracle."
     in
-    let file_arg =
-      Arg.(
-        required & pos 0 (some string) None & info [] ~docv:"FILE" ~doc)
-    in
     let verbose_arg =
       let doc = "Also print the trace's fault schedule." in
       Arg.(value & flag & info [ "verbose"; "v" ] ~doc)
     in
     Cmd.v (Cmd.info "replay" ~doc)
-      Term.(const run_chaos_replay $ file_arg $ verbose_arg $ trace_out_arg)
+      Term.(
+        const run_chaos_replay $ file_arg Arg.required ~doc $ verbose_arg
+        $ trace_out_arg)
   in
   let list_cmd =
     let doc = "List the known lattice points and nemeses." in
@@ -585,27 +658,15 @@ let chaos_cmd =
 (* ------------------------------------------------------------------ *)
 
 let run_debug file point seed nemeses script record_out =
-  let module X = Relax_experiments.Chaos_scenarios in
   let module D = Relax_experiments.Debug in
   let trace =
     match file with
-    | Some f ->
-      if D.is_recording f then D.load_recording f
-      else (
-        match Relax_chaos.Trace.load f with
-        | t -> Ok t
-        | exception Sys_error e -> Error ("cannot read trace: " ^ e)
-        | exception Relax_chaos.Sexp.Parse_error e ->
-          Error (Fmt.str "malformed trace %s: %s" f e))
-    | None ->
-      let nemeses = if nemeses = [] then X.default_nemeses else nemeses in
-      let config = { Relax_chaos.Runner.default_config with seed } in
-      X.make_trace ~point ~nemeses ~config
+    | Some f when D.is_recording f -> D.load_recording f
+    | Some f -> load_trace f
+    | None -> generate_trace ~point ~seed ~nemeses
   in
   match trace with
-  | Error e ->
-    Fmt.epr "%s@." e;
-    2
+  | Error e -> usage_error "%s" e
   | Ok trace -> (
     Option.iter
       (fun path ->
@@ -613,9 +674,7 @@ let run_debug file point seed nemeses script record_out =
         Fmt.pr "recording written to %s@." path)
       record_out;
     match D.session_of_trace trace with
-    | Error e ->
-      Fmt.epr "%s@." e;
-      2
+    | Error e -> usage_error "%s" e
     | Ok session ->
       (match script with
       | Some s -> D.run_script Fmt.stdout session s
@@ -624,28 +683,16 @@ let run_debug file point seed nemeses script record_out =
 
 let debug_cmd =
   let file_arg =
-    let doc =
-      "A recorded run to debug: either a checksummed recording written \
-       with $(b,--record), or a bare $(b,.trace) file from $(b,rlx chaos \
-       run).  When omitted, a run is generated from $(b,--point), \
-       $(b,--seed) and $(b,--nemesis)."
-    in
-    Arg.(value & pos 0 (some string) None & info [] ~docv:"FILE" ~doc)
+    file_arg Arg.value
+      ~doc:
+        "A recorded run to debug: either a checksummed recording written \
+         with $(b,--record), or a bare $(b,.trace) file from $(b,rlx chaos \
+         run).  When omitted, a run is generated from $(b,--point), \
+         $(b,--seed) and $(b,--nemesis)."
   in
   let point_arg =
-    let doc = "Lattice point of the generated run (no $(i,FILE))." in
-    Arg.(value & opt string "top" & info [ "point" ] ~docv:"POINT" ~doc)
-  in
-  let seed_arg =
-    let doc = "Seed of the generated run (no $(i,FILE))." in
-    Arg.(
-      value
-      & opt int Relax_sim.Engine.default_seed
-      & info [ "seed"; "s" ] ~docv:"SEED" ~doc)
-  in
-  let nemesis_arg =
-    let doc = "Comma-separated nemesis mix of the generated run." in
-    Arg.(value & opt module_sep_list [] & info [ "nemesis" ] ~docv:"LIST" ~doc)
+    point_arg Arg.string "top"
+      ~doc:"Lattice point of the generated run (no $(i,FILE))."
   in
   let script_arg =
     let doc =
@@ -669,7 +716,9 @@ let debug_cmd =
   in
   Cmd.v (Cmd.info "debug" ~doc)
     Term.(
-      const run_debug $ file_arg $ point_arg $ seed_arg $ nemesis_arg
+      const run_debug $ file_arg $ point_arg
+      $ run_seed_arg ~doc:"Seed of the generated run (no $(i,FILE))."
+      $ nemesis_arg ~doc:"Comma-separated nemesis mix of the generated run."
       $ script_arg $ record_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -687,10 +736,7 @@ let degrade_ok (report : Relax_experiments.Degrade_x.sweep_report) =
      <= report.Relax_experiments.Degrade_x.switch_limit
 
 let write_timeline path report =
-  let oc = open_out path in
-  output_string oc
-    (Fmt.str "%a" Relax_experiments.Degrade_x.pp_timeline report);
-  close_out oc;
+  write_file path (Fmt.str "%a" Relax_experiments.Degrade_x.pp_timeline report);
   Fmt.epr "timeline: %d mode switches written to %s@."
     (List.fold_left
        (fun acc (c : Relax_experiments.Degrade_x.comparison) ->
@@ -699,18 +745,14 @@ let write_timeline path report =
        0 report.Relax_experiments.Degrade_x.comparisons)
     path
 
-let run_degrade_sweep ~print_timeline runs seed nemeses jobs timeout retries
-    backoff timeline trace_out =
+let run_degrade_sweep ~print_timeline runs seed nemeses jobs knobs timeline
+    trace_out =
   apply_jobs jobs;
   let module D = Relax_experiments.Degrade_x in
-  let module X = Relax_experiments.Chaos_scenarios in
-  let nemeses = if nemeses = [] then X.default_nemeses else nemeses in
-  let config = chaos_config ?timeout ?retries ?backoff () in
+  let config = configure knobs Relax_chaos.Runner.default_config in
   with_trace trace_out @@ fun () ->
   match D.sweep ?jobs ~config ~runs ~seed ~nemeses () with
-  | Error e ->
-    Fmt.epr "%s@." e;
-    2
+  | Error e -> usage_error "%s" e
   | Ok report ->
     Fmt.pr "== degrade: %d controlled-vs-static runs, seed %d, nemeses %s ==@\n"
       runs seed
@@ -725,19 +767,15 @@ let run_degrade_sweep ~print_timeline runs seed nemeses jobs timeout retries
 
 let degrade_cmd =
   let nemesis_arg =
-    let doc =
-      "Comma-separated nemesis mix (crash | partition | drop | delay | dup \
-       | skew | rejoin; see $(b,rlx chaos list)).  Defaults to every \
-       assumption-preserving nemesis."
-    in
-    Arg.(value & opt module_sep_list [] & info [ "nemesis" ] ~docv:"LIST" ~doc)
+    nemesis_arg
+      ~doc:
+        (Fmt.str
+           "Comma-separated nemesis mix (%s; see $(b,rlx chaos list)).  \
+            Defaults to every assumption-preserving nemesis."
+           nemesis_names)
   in
-  let degrade_seed_arg =
-    let doc = "Root seed (run $(i,i) uses seed $(i,SEED+i))." in
-    Arg.(
-      value
-      & opt int Relax_sim.Engine.default_seed
-      & info [ "seed"; "s" ] ~docv:"SEED" ~doc)
+  let seed_arg =
+    run_seed_arg ~doc:"Root seed (run $(i,i) uses seed $(i,SEED+i))."
   in
   let timeline_arg =
     let doc =
@@ -748,14 +786,11 @@ let degrade_cmd =
     Arg.(value & opt (some string) None & info [ "timeline" ] ~docv:"FILE" ~doc)
   in
   let exits =
-    Cmd.Exit.info
-      ~doc:
-        "zero conformance violations, the online oracle agreed with the \
-         post-hoc replay everywhere, and switching stayed within the \
-         hysteresis bound."
-      0
-    :: Cmd.Exit.info ~doc:"at least one of those promises broke." 1
-    :: List.filter (fun i -> Cmd.Exit.info_code i > 1) Cmd.Exit.defaults
+    exits
+      "zero conformance violations, the online oracle agreed with the \
+       post-hoc replay everywhere, and switching stayed within the \
+       hysteresis bound."
+      "at least one of those promises broke."
   in
   let run_cmd =
     let doc =
@@ -767,14 +802,10 @@ let degrade_cmd =
     Cmd.v (Cmd.info "run" ~doc ~exits)
       Term.(
         const (run_degrade_sweep ~print_timeline:true 1)
-        $ degrade_seed_arg $ nemesis_arg $ jobs_arg $ timeout_arg
-        $ retries_arg $ backoff_arg $ timeline_arg $ trace_out_arg)
+        $ seed_arg $ nemesis_arg $ jobs_arg $ knobs_arg $ timeline_arg
+        $ trace_out_arg)
   in
   let sweep_cmd =
-    let runs_arg =
-      let doc = "Number of seeded comparisons." in
-      Arg.(value & opt int 100 & info [ "runs"; "n" ] ~docv:"N" ~doc)
-    in
     let doc =
       "Seeded degradation sweeps: each run replays one fault schedule \
        against the live controller and against the static endpoints, \
@@ -784,8 +815,8 @@ let degrade_cmd =
     Cmd.v (Cmd.info "sweep" ~doc ~exits)
       Term.(
         const (run_degrade_sweep ~print_timeline:false)
-        $ runs_arg $ degrade_seed_arg $ nemesis_arg $ jobs_arg $ timeout_arg
-        $ retries_arg $ backoff_arg $ timeline_arg $ trace_out_arg)
+        $ runs_arg 100 ~doc:"Number of seeded comparisons." $ seed_arg
+        $ nemesis_arg $ jobs_arg $ knobs_arg $ timeline_arg $ trace_out_arg)
   in
   let doc =
     "The live degradation controller: online constraint monitors move the \
@@ -799,50 +830,25 @@ let degrade_cmd =
 (* rlx ldfi                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* LDFI's workload is shorter than the sweep default (many executions
-   per point), so the base config comes from Ldfi_x, with the same
-   client knobs folded over it. *)
-let ldfi_config ?(base = Relax_experiments.Ldfi_x.default_config) ?sites
-    ?requests ?timeout ?retries ?backoff () =
-  let d = base in
-  {
-    d with
-    Relax_chaos.Runner.sites =
-      Option.value sites ~default:d.Relax_chaos.Runner.sites;
-    requests = Option.value requests ~default:d.Relax_chaos.Runner.requests;
-    timeout = Option.value timeout ~default:d.Relax_chaos.Runner.timeout;
-    retries = Option.value retries ~default:d.Relax_chaos.Runner.retries;
-    backoff = Option.value backoff ~default:d.Relax_chaos.Runner.backoff;
-  }
-
-let save_ldfi_violation trace_prefix point (v : Relax_experiments.Ldfi_x.violation) =
-  let path = Fmt.str "%s-%s.trace" trace_prefix point in
-  Relax_chaos.Trace.save path v.Relax_experiments.Ldfi_x.shrunk;
-  Fmt.pr "shrunken trace written to %s (replay with 'rlx chaos replay %s')@\n"
-    path path
-
 let ldfi_outcome_ok (o : Relax_experiments.Ldfi_x.outcome) =
   o.Relax_experiments.Ldfi_x.violation = None
   && (o.Relax_experiments.Ldfi_x.strategy <> "guided"
      || o.Relax_experiments.Ldfi_x.stats.Relax_ldfi.Search.exhausted)
 
-let run_ldfi_run points jobs sites requests max_crashes max_drops
-    max_injections wipe strategy seed format out_file trace_prefix timeout
-    retries backoff =
+(* LDFI's workload is shorter than the sweep default (many executions
+   per point), so the base config comes from Ldfi_x, with --sites,
+   --requests and the client knobs folded over it. *)
+let run_ldfi_run points jobs sites requests budget wipe strategy seed format
+    out_file trace_prefix knobs =
   apply_jobs jobs;
   let module L = Relax_experiments.Ldfi_x in
   let module S = Relax_ldfi.Search in
-  let module X = Relax_experiments.Chaos_scenarios in
-  let points = if points = [] then X.names else points in
-  let config = ldfi_config ?sites ?requests ?timeout ?retries ?backoff () in
-  let budget = { S.max_crashes; max_drops; max_injections } in
+  let config = configure ?sites ?requests knobs L.default_config in
   let strategy =
     match strategy with `Guided -> `Guided | `Random -> `Random seed
   in
   match L.run_points ?jobs ~config ~wipe ~budget ~strategy points with
-  | Error e ->
-    Fmt.epr "%s@." e;
-    2
+  | Error e -> usage_error "%s" e
   | Ok outcomes ->
     (match format with
     | `Json -> Fmt.pr "%s@." (L.coverage_json ~budget ~wipe outcomes)
@@ -851,42 +857,33 @@ let run_ldfi_run points jobs sites requests max_crashes max_drops
       Fmt.pr
         "== ldfi: budget %d crash / %d drop (cap %d injections), %d sites, \
          %d requests, wipe %b ==@\n"
-        max_crashes max_drops max_injections
+        budget.S.max_crashes budget.S.max_drops budget.S.max_injections
         config.Relax_chaos.Runner.sites config.Relax_chaos.Runner.requests
         wipe;
       List.iter (fun o -> Fmt.pr "%a@\n" L.pp_outcome o) outcomes;
       List.iter
         (fun (o : L.outcome) ->
           Option.iter
-            (save_ldfi_violation trace_prefix o.L.point)
+            (fun (v : L.violation) ->
+              save_shrunk trace_prefix o.L.point v.L.shrunk)
             o.L.violation)
         outcomes;
       let exhausted = List.filter ldfi_outcome_ok outcomes in
       Fmt.pr "coverage: %d/%d points exhausted with 0 violations@."
         (List.length exhausted) (List.length outcomes));
-    (match out_file with
-    | None -> ()
-    | Some path ->
-      let oc = open_out path in
-      output_string oc (L.coverage_json ~budget ~wipe outcomes);
-      output_char oc '\n';
-      close_out oc;
-      Fmt.epr "coverage document written to %s@." path);
+    Option.iter
+      (fun path ->
+        write_file path (L.coverage_json ~budget ~wipe outcomes ^ "\n");
+        Fmt.epr "coverage document written to %s@." path)
+      out_file;
     exit_of (List.for_all ldfi_outcome_ok outcomes)
 
-let run_ldfi_hunt point sites requests max_crashes max_drops max_injections
-    seed trace_prefix timeout retries backoff =
+let run_ldfi_hunt point sites requests budget seed trace_prefix knobs =
   let module L = Relax_experiments.Ldfi_x in
   let module S = Relax_ldfi.Search in
-  let config =
-    ldfi_config ~base:L.hunt_config ?sites ?requests ?timeout ?retries
-      ?backoff ()
-  in
-  let budget = { S.max_crashes; max_drops; max_injections } in
+  let config = configure ?sites ?requests knobs L.hunt_config in
   match L.hunt ~config ~budget ~random_seed:seed point with
-  | Error e ->
-    Fmt.epr "%s@." e;
-    2
+  | Error e -> usage_error "%s" e
   | Ok r ->
     Fmt.pr
       "== ldfi hunt: planted volatile-logs bug at %s (every crash wipes the \
@@ -894,7 +891,9 @@ let run_ldfi_hunt point sites requests max_crashes max_drops max_injections
       point;
     Fmt.pr "%a@\n" L.pp_outcome r.L.guided;
     Fmt.pr "%a@\n" L.pp_outcome r.L.random;
-    Option.iter (save_ldfi_violation trace_prefix point) r.L.guided.L.violation;
+    Option.iter
+      (fun (v : L.violation) -> save_shrunk trace_prefix point v.L.shrunk)
+      r.L.guided.L.violation;
     let guided_execs = r.L.guided.L.stats.S.executions in
     (match (r.L.guided.L.violation, r.L.speedup) with
     | None, _ ->
@@ -918,63 +917,51 @@ let run_ldfi_hunt point sites requests max_crashes max_drops max_injections
 let run_ldfi_report file =
   let module L = Relax_experiments.Ldfi_x in
   match In_channel.with_open_text file In_channel.input_all with
-  | exception Sys_error e ->
-    Fmt.epr "cannot read coverage document: %s@." e;
-    2
+  | exception Sys_error e -> usage_error "cannot read coverage document: %s" e
   | doc -> (
     match L.read_coverage doc with
-    | Error e ->
-      Fmt.epr "malformed coverage document %s: %s@." file e;
-      2
+    | Error e -> usage_error "malformed coverage document %s: %s" file e
     | Ok r ->
       Fmt.pr "%a" L.pp_read_coverage r;
       exit_of (L.read_ok r))
 
 let ldfi_cmd =
-  let points_arg =
-    let doc =
-      "Comma-separated lattice points to search (top | q1 | q2 | bottom | \
-       adaptive).  Defaults to all."
-    in
-    Arg.(value & opt module_sep_list [] & info [ "points" ] ~docv:"LIST" ~doc)
-  in
   let sites_arg =
-    let doc = "Replica sites." in
-    Arg.(value & opt (some int) None & info [ "sites" ] ~docv:"N" ~doc)
+    sites_arg Arg.(some (positive_int "number of sites")) None
+      ~doc:"Replica sites."
   in
   let requests_arg =
     let doc = "Client operations per run (the workload slots)." in
-    Arg.(value & opt (some int) None & info [ "requests" ] ~docv:"N" ~doc)
+    Arg.(
+      value
+      & opt (some (positive_int "number of requests")) None
+      & info [ "requests" ] ~docv:"N" ~doc)
   in
-  let budget_args ~crashes ~drops ~injections =
+  (* The failure budget, defaulting to [b]. *)
+  let budget_arg (b : Relax_ldfi.Search.budget) =
     let crashes_arg =
       let doc = "Failure budget: crash-window variables per fault set." in
-      Arg.(value & opt int crashes & info [ "max-crashes" ] ~docv:"N" ~doc)
+      Arg.(
+        value & opt int b.max_crashes & info [ "max-crashes" ] ~docv:"N" ~doc)
     in
     let drops_arg =
       let doc = "Failure budget: omitted message copies per fault set." in
-      Arg.(value & opt int drops & info [ "max-drops" ] ~docv:"N" ~doc)
+      Arg.(value & opt int b.max_drops & info [ "max-drops" ] ~docv:"N" ~doc)
     in
     let injections_arg =
       let doc = "Cap on injected runs before the search gives up." in
       Arg.(
-        value & opt int injections & info [ "max-injections" ] ~docv:"N" ~doc)
+        value
+        & opt int b.max_injections
+        & info [ "max-injections" ] ~docv:"N" ~doc)
     in
-    (crashes_arg, drops_arg, injections_arg)
+    Term.(
+      const (fun max_crashes max_drops max_injections ->
+          { Relax_ldfi.Search.max_crashes; max_drops; max_injections })
+      $ crashes_arg $ drops_arg $ injections_arg)
   in
-  let trace_prefix_arg =
-    let doc = "Filename prefix for shrunken violation traces." in
-    Arg.(
-      value & opt string "ldfi-violation"
-      & info [ "trace-prefix" ] ~docv:"PREFIX" ~doc)
-  in
+  let trace_prefix_arg = trace_prefix_arg "ldfi-violation" in
   let run_cmd =
-    let ci = Relax_ldfi.Search.ci_budget in
-    let crashes_arg, drops_arg, injections_arg =
-      budget_args ~crashes:ci.Relax_ldfi.Search.max_crashes
-        ~drops:ci.Relax_ldfi.Search.max_drops
-        ~injections:ci.Relax_ldfi.Search.max_injections
-    in
     let wipe_arg =
       let doc =
         "Volatile-logs realization: every injected crash also wipes the \
@@ -993,40 +980,18 @@ let ldfi_cmd =
         & opt (enum [ ("guided", `Guided); ("random", `Random) ]) `Guided
         & info [ "strategy" ] ~docv:"STRATEGY" ~doc)
     in
-    let ldfi_seed_arg =
-      let doc = "Seed of the $(b,random) baseline's sampling stream." in
-      Arg.(
-        value
-        & opt int Relax_sim.Engine.default_seed
-        & info [ "seed"; "s" ] ~docv:"SEED" ~doc)
-    in
     let format_arg =
-      let doc =
-        "Output format: $(b,human), $(b,json) (the coverage document CI \
-         diffs) or $(b,tap) (TAP v14, one test per point)."
-      in
-      Arg.(
-        value
-        & opt (enum [ ("human", `Human); ("json", `Json); ("tap", `Tap) ])
-            `Human
-        & info [ "format"; "f" ] ~docv:"FORMAT" ~doc)
-    in
-    let out_arg =
-      let doc =
-        "Also write the JSON coverage document to $(docv) (the CI artifact), \
-         whatever $(b,--format) prints."
-      in
-      Arg.(value & opt (some string) None & info [ "out" ] ~docv:"FILE" ~doc)
+      format_arg
+        [ ("human", `Human); ("json", `Json); ("tap", `Tap) ]
+        ~doc:
+          "Output format: $(b,human), $(b,json) (the coverage document CI \
+           diffs) or $(b,tap) (TAP v14, one test per point)."
     in
     let exits =
-      Cmd.Exit.info
-        ~doc:
-          "every searched point reached exhaustive fault coverage: all \
-           candidate fault sets within the budget injected, 0 violations."
-        0
-      :: Cmd.Exit.info
-           ~doc:"a violation was found, or the injection cap was hit." 1
-      :: List.filter (fun i -> Cmd.Exit.info_code i > 1) Cmd.Exit.defaults
+      exits
+        "every searched point reached exhaustive fault coverage: all \
+         candidate fault sets within the budget injected, 0 violations."
+        "a violation was found, or the injection cap was hit."
     in
     let doc =
       "Search the fault space instead of sampling it: extract the lineage \
@@ -1036,34 +1001,25 @@ let ldfi_cmd =
     in
     Cmd.v (Cmd.info "run" ~doc ~exits)
       Term.(
-        const run_ldfi_run $ points_arg $ jobs_arg $ sites_arg $ requests_arg
-        $ crashes_arg $ drops_arg $ injections_arg $ wipe_arg $ strategy_arg
-        $ ldfi_seed_arg $ format_arg $ out_arg $ trace_prefix_arg
-        $ timeout_arg $ retries_arg $ backoff_arg)
+        const run_ldfi_run $ points_arg ~verb:"search" $ jobs_arg $ sites_arg
+        $ requests_arg
+        $ budget_arg Relax_ldfi.Search.ci_budget
+        $ wipe_arg $ strategy_arg
+        $ run_seed_arg
+            ~doc:"Seed of the $(b,random) baseline's sampling stream."
+        $ format_arg
+        $ out_arg
+            ~doc:
+              "Also write the JSON coverage document to $(docv) (the CI \
+               artifact), whatever $(b,--format) prints."
+        $ trace_prefix_arg $ knobs_arg)
   in
   let hunt_cmd =
-    let hb = Relax_experiments.Ldfi_x.hunt_budget in
-    let crashes_arg, drops_arg, injections_arg =
-      budget_args ~crashes:hb.Relax_ldfi.Search.max_crashes
-        ~drops:hb.Relax_ldfi.Search.max_drops
-        ~injections:hb.Relax_ldfi.Search.max_injections
-    in
-    let point_arg =
-      let doc = "Lattice point to hunt at (top | q1 | q2 | bottom)." in
-      Arg.(value & pos 0 string "top" & info [] ~docv:"POINT" ~doc)
-    in
-    let hunt_seed_arg =
-      let doc = "Seed of the random baseline." in
-      Arg.(value & opt int 42 & info [ "seed"; "s" ] ~docv:"SEED" ~doc)
-    in
     let exits =
-      Cmd.Exit.info
-        ~doc:
-          "the guided search found a shrunken violating trace at least 10x \
-           faster (executions to first violation) than the random baseline."
-        0
-      :: Cmd.Exit.info ~doc:"it did not." 1
-      :: List.filter (fun i -> Cmd.Exit.info_code i > 1) Cmd.Exit.defaults
+      exits
+        "the guided search found a shrunken violating trace at least 10x \
+         faster (executions to first violation) than the random baseline."
+        "it did not."
     in
     let doc =
       "Race guided against random on the planted volatile-logs bug: with \
@@ -1073,21 +1029,24 @@ let ldfi_cmd =
     in
     Cmd.v (Cmd.info "hunt" ~doc ~exits)
       Term.(
-        const run_ldfi_hunt $ point_arg $ sites_arg $ requests_arg
-        $ crashes_arg $ drops_arg $ injections_arg $ hunt_seed_arg
-        $ trace_prefix_arg $ timeout_arg $ retries_arg $ backoff_arg)
+        const run_ldfi_hunt
+        $ point_pos Arg.value Arg.string "top" ~what:"Lattice point to hunt at"
+        $ sites_arg $ requests_arg
+        $ budget_arg Relax_experiments.Ldfi_x.hunt_budget
+        $ seed_arg Arg.int 42 ~doc:"Seed of the random baseline."
+        $ trace_prefix_arg $ knobs_arg)
   in
   let report_cmd =
-    let file_arg =
-      let doc = "A coverage document written by $(b,rlx ldfi run --out)." in
-      Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE" ~doc)
-    in
     let doc =
       "Render a recorded JSON coverage document and re-state its verdict \
        (exit 0 iff every point reached exhaustive coverage with 0 \
        violations)."
     in
-    Cmd.v (Cmd.info "report" ~doc) Term.(const run_ldfi_report $ file_arg)
+    Cmd.v (Cmd.info "report" ~doc)
+      Term.(
+        const run_ldfi_report
+        $ file_arg Arg.required
+            ~doc:"A coverage document written by $(b,rlx ldfi run --out).")
   in
   let doc =
     "Lineage-driven fault injection: turn the chaos oracle from sampled \
@@ -1106,44 +1065,36 @@ let availability_cmd =
           exit_of (Relax_experiments.Availability.run out ()))
       $ jobs_arg)
 
+(* The queue alphabet over the universe {1,2}, shared by lattice and
+   compare. *)
+let alphabet =
+  Relax_objects.Queue_ops.alphabet (Relax_objects.Queue_ops.universe 2)
+
 let lattice_cmd =
   let doc = "Print and check the replicated-PQ relaxation lattice." in
   Cmd.v
     (Cmd.info "lattice" ~doc)
     Term.(
       const (fun depth ->
-          let alphabet =
-            Relax_objects.Queue_ops.alphabet
-              (Relax_objects.Queue_ops.universe 2)
-          in
           exit_of (Relax_experiments.Pq_checks.run ~alphabet ~depth out ()))
       $ depth_arg)
 
 (* rlx trait show Bag / rlx trait theory Bag / rlx trait normalize Bag "expr" *)
+let traits =
+  let module T = Relax_larch.Theories in
+  [
+    ("Bag", T.bag_src); ("MBag", T.mbag_src); ("FifoQ", T.fifoq_src);
+    ("PQueue", T.pqueue_src); ("MPQueue", T.mpqueue_src); ("SetE", T.set_src);
+    ("SemiQ", T.semiq_src); ("StutQ", T.stutq_src); ("DPQ", T.dpq_src);
+    ("RFQ", T.rfq_src);
+  ]
+
+let trait_names = String.concat ", " (List.map fst traits)
+
 let run_trait action name expr =
-  let std =
-    [ "Bag"; "MBag"; "FifoQ"; "PQueue"; "MPQueue"; "SetE"; "SemiQ"; "StutQ";
-      "DPQ"; "RFQ" ]
-  in
-  if not (List.mem name std) then begin
-    Fmt.epr "unknown trait %S (expected one of %s)@." name
-      (String.concat ", " std);
-    2
-  end
-  else
-    let source =
-      match name with
-      | "Bag" -> Relax_larch.Theories.bag_src
-      | "MBag" -> Relax_larch.Theories.mbag_src
-      | "FifoQ" -> Relax_larch.Theories.fifoq_src
-      | "PQueue" -> Relax_larch.Theories.pqueue_src
-      | "MPQueue" -> Relax_larch.Theories.mpqueue_src
-      | "SetE" -> Relax_larch.Theories.set_src
-      | "SemiQ" -> Relax_larch.Theories.semiq_src
-      | "DPQ" -> Relax_larch.Theories.dpq_src
-      | "RFQ" -> Relax_larch.Theories.rfq_src
-      | _ -> Relax_larch.Theories.stutq_src
-    in
+  match List.assoc_opt name traits with
+  | None -> usage_error "unknown trait %S (expected one of %s)" name trait_names
+  | Some source -> (
     match action with
     | "show" ->
       Fmt.pr "%a@."
@@ -1156,9 +1107,7 @@ let run_trait action name expr =
       0
     | "normalize" -> (
       match expr with
-      | None ->
-        Fmt.epr "normalize needs an expression argument@.";
-        2
+      | None -> usage_error "normalize needs an expression argument"
       | Some src -> (
         try
           let t = Relax_larch.Parser.expr_of_string src in
@@ -1168,14 +1117,12 @@ let run_trait action name expr =
           0
         with
         | Relax_larch.Parser.Error e | Relax_larch.Lexer.Error e ->
-          Fmt.epr "parse error: %s@." e;
-          2
+          usage_error "parse error: %s" e
         | Relax_larch.Rewrite.Out_of_fuel ->
-          Fmt.epr "normalization did not terminate within the fuel bound@.";
-          2))
+          usage_error "normalization did not terminate within the fuel bound"))
     | other ->
-      Fmt.epr "unknown action %S (expected show | theory | normalize)@." other;
-      2
+      usage_error "unknown action %S (expected show | theory | normalize)"
+        other)
 
 let trait_cmd =
   let doc =
@@ -1188,7 +1135,7 @@ let trait_cmd =
   let name_arg =
     Arg.(
       required & pos 1 (some string) None & info [] ~docv:"TRAIT"
-        ~doc:"Trait name (Bag, MBag, FifoQ, PQueue, MPQueue, SetE, SemiQ, StutQ, DPQ, RFQ).")
+        ~doc:(Fmt.str "Trait name (%s)." trait_names))
   in
   let expr_arg =
     Arg.(
@@ -1201,18 +1148,14 @@ let trait_cmd =
 (* rlx compare PQ MPQ: classify two named behaviors by bounded language
    comparison (Section 5's comparison of specifications). *)
 let run_compare a b depth =
-  let alphabet =
-    Relax_objects.Queue_ops.alphabet (Relax_objects.Queue_ops.universe 2)
-  in
   match Relax_objects.Registry.classify ~alphabet ~depth a b with
   | Some c ->
     Fmt.pr "%s vs %s (depth %d): %a@." a b depth
       Relax_core.Language.pp_classification c;
     0
   | None ->
-    Fmt.epr "unknown behavior (known: %s)@."
-      (String.concat ", " Relax_objects.Registry.names);
-    2
+    usage_error "unknown behavior (known: %s)"
+      (String.concat ", " Relax_objects.Registry.names)
 
 let compare_cmd =
   let doc =
@@ -1238,22 +1181,17 @@ let compare_cmd =
 let null_ppf = Format.make_formatter (fun _ _ _ -> ()) (fun () -> ())
 
 let run_trace_simulate which seed trace_out =
-  run_traced trace_out (fun () -> run_simulate_on null_ppf which seed)
+  with_trace ~table:true trace_out (fun () ->
+      run_simulate_on no_knobs null_ppf which seed)
 
 let run_trace_chaos point seed nemeses trace_out =
   let module X = Relax_experiments.Chaos_scenarios in
-  let nemeses = if nemeses = [] then X.default_nemeses else nemeses in
-  let config = { Relax_chaos.Runner.default_config with seed } in
-  run_traced trace_out (fun () ->
-      match X.make_trace ~point ~nemeses ~config with
-      | Error e ->
-        Fmt.epr "%s@." e;
-        2
+  with_trace ~table:true trace_out (fun () ->
+      match generate_trace ~point ~seed ~nemeses with
+      | Error e -> usage_error "%s" e
       | Ok trace -> (
         match X.run_trace trace with
-        | Error e ->
-          Fmt.epr "%s@." e;
-          2
+        | Error e -> usage_error "%s" e
         | Ok (result, verdict) ->
           Fmt.epr "point %s, seed %d: %d completed, %d unavailable — %a@."
             point seed result.Relax_chaos.Runner.completed
@@ -1261,76 +1199,29 @@ let run_trace_chaos point seed nemeses trace_out =
             verdict;
           exit_of (Relax_chaos.Oracle.conforms verdict)))
 
-(* Claims fan out over domains, so both trace check and profile check
-   synthesize the trace from measured outcomes (Engine.record_trace)
-   instead of recording ambiently: durations are wall clock, stats are
-   the deterministic memo/product counters. *)
-let run_claims_trace what only depth strategy jobs trace_out ~json =
-  apply_jobs jobs;
-  match select_registry what only depth strategy with
-  | Error e ->
-    Fmt.epr "%s@." e;
-    2
-  | Ok selected ->
-    let results = Relax_claims.Engine.run selected in
-    let tracer = Relax_obs.Tracer.create () in
-    Relax_claims.Engine.record_trace tracer results;
-    (match trace_out with
-    | Some path -> write_trace path tracer
-    | None when not json ->
-      Fmt.pr "%a"
-        (Relax_obs.Export.pp Relax_obs.Export.Table)
-        (Relax_obs.Export.sort (Relax_obs.Tracer.events tracer))
-    | None -> ());
-    if json then
-      Relax_claims.Reporter.pp Relax_claims.Reporter.Json out results;
-    exit_of (Relax_claims.Engine.ok results)
-
-let run_trace_check what only depth strategy jobs trace_out =
-  run_claims_trace what only depth strategy jobs trace_out ~json:false
-
-let run_profile_check what only depth strategy jobs trace_out =
-  run_claims_trace what only depth strategy jobs trace_out ~json:true
-
-let check_what_arg =
-  let doc = "Claim group to run, $(b,all) by default." in
-  Arg.(value & pos 0 string "all" & info [] ~docv:"WHAT" ~doc)
-
-let only_arg =
-  let doc =
-    "Only run claims whose id matches $(docv) ($(b,*) matches any \
-     substring), e.g. $(b,--only 'pq/*')."
-  in
-  Arg.(value & opt (some string) None & info [ "only" ] ~docv:"GLOB" ~doc)
+(* trace check and profile check: the claim selection of check, traced. *)
+let claims_trace_cmd ?report ~table ~doc name =
+  Cmd.v (Cmd.info name ~doc)
+    Term.(
+      const (run_claims ?report ~table)
+      $ group_arg ~doc:"Claim group to run, $(b,all) by default."
+      $ only_arg $ depth_arg $ method_arg $ jobs_arg $ trace_out_arg)
 
 let trace_cmd =
   let sim_cmd =
     let doc =
-      "Trace a case-study simulation (taxi | partition | adaptive | \
-       amnesia | atm | spooler): spans and instants from the engine, \
-       network, replica and claims, timestamped in virtual time — \
-       byte-identical for a given seed."
+      Fmt.str
+        "Trace a case-study simulation (%s): spans and instants from the \
+         engine, network, replica and claims, timestamped in virtual time \
+         — byte-identical for a given seed."
+        simulation_names
     in
     Cmd.v (Cmd.info "simulate" ~doc)
-      Term.(const run_trace_simulate $ what_arg ~doc $ seed_arg $ trace_out_arg)
+      Term.(
+        const run_trace_simulate $ what_arg ~doc $ sim_seed_arg
+        $ trace_out_arg)
   in
   let chaos_cmd =
-    let point_arg =
-      let doc = "Lattice point (top | q1 | q2 | bottom | adaptive)." in
-      Arg.(required & pos 0 (some string) None & info [] ~docv:"POINT" ~doc)
-    in
-    let seed_arg =
-      let doc = "Seed of the traced run." in
-      Arg.(
-        value
-        & opt int Relax_sim.Engine.default_seed
-        & info [ "seed"; "s" ] ~docv:"SEED" ~doc)
-    in
-    let nemesis_arg =
-      let doc = "Comma-separated nemesis mix (default: every \
-                 assumption-preserving nemesis)." in
-      Arg.(value & opt module_sep_list [] & info [ "nemesis" ] ~docv:"LIST" ~doc)
-    in
     let doc =
       "Trace one chaos run at a lattice point: fault applications, mode \
        switches and the oracle verdict, with the active constraint set \
@@ -1338,18 +1229,21 @@ let trace_cmd =
     in
     Cmd.v (Cmd.info "chaos" ~doc)
       Term.(
-        const run_trace_chaos $ point_arg $ seed_arg $ nemesis_arg
+        const run_trace_chaos
+        $ point_pos Arg.required Arg.(some string) None ~what:"Lattice point"
+        $ run_seed_arg ~doc:"Seed of the traced run."
+        $ nemesis_arg
+            ~doc:
+              "Comma-separated nemesis mix (default: every \
+               assumption-preserving nemesis)."
         $ trace_out_arg)
   in
   let check_cmd =
-    let doc =
-      "Trace a claim run: one complete event per claim with its wall \
-       clock and memo/product statistics."
-    in
-    Cmd.v (Cmd.info "check" ~doc)
-      Term.(
-        const run_trace_check $ check_what_arg $ only_arg $ depth_arg
-        $ method_arg $ jobs_arg $ trace_out_arg)
+    claims_trace_cmd ~table:true
+      ~doc:
+        "Trace a claim run: one complete event per claim with its wall \
+         clock and memo/product statistics."
+      "check"
   in
   let doc =
     "Trace an experiment: run it with the observability layer recording \
@@ -1360,15 +1254,12 @@ let trace_cmd =
 
 let profile_cmd =
   let check_cmd =
-    let doc =
-      "Profile a claim run: print the JSON report (per-claim status, \
-       wall clock and checker statistics) and optionally write a \
-       per-claim trace artifact."
-    in
-    Cmd.v (Cmd.info "check" ~doc)
-      Term.(
-        const run_profile_check $ check_what_arg $ only_arg $ depth_arg
-        $ method_arg $ jobs_arg $ trace_out_arg)
+    claims_trace_cmd ~report:Relax_claims.Reporter.Json ~table:false
+      ~doc:
+        "Profile a claim run: print the JSON report (per-claim status, \
+         wall clock and checker statistics) and optionally write a \
+         per-claim trace artifact."
+      "check"
   in
   let doc = "Profile a workload (currently: check)." in
   Cmd.group (Cmd.info "profile" ~doc) [ check_cmd ]
@@ -1379,9 +1270,11 @@ let profile_cmd =
 
 let run_load ops shards sites rate read_fraction timeout drop no_crash closed
     concurrency seed point jobs out_file =
+  let module L = Relax_experiments.Load in
+  let module T = Relax_experiments.Taxi in
   let params =
     {
-      Relax_experiments.Load.ops;
+      L.ops;
       shards;
       sites;
       rate;
@@ -1391,47 +1284,34 @@ let run_load ops shards sites rate read_fraction timeout drop no_crash closed
       crash = not no_crash;
       closed;
       concurrency;
-      seed =
-        Option.value seed ~default:Relax_experiments.Load.default_params.seed;
+      seed = Option.value seed ~default:L.default_params.seed;
     }
   in
-  let outcomes =
-    match point with
-    | None -> Relax_experiments.Load.run ?jobs ~params ()
-    | Some p -> (
-      let points = Relax_experiments.Taxi.points ~n:params.sites in
-      let matching (pt : Relax_experiments.Taxi.point) =
-        (* match on the canonical short names used by `rlx chaos` *)
-        match p with
-        | "top" -> String.length pt.label >= 7 && String.sub pt.label 0 7 = "{Q1,Q2}"
-        | "q1" -> String.length pt.label >= 5 && String.sub pt.label 0 5 = "{Q1} "
-        | "q2" -> String.length pt.label >= 5 && String.sub pt.label 0 5 = "{Q2} "
-        | "bottom" -> String.length pt.label >= 2 && String.sub pt.label 0 2 = "{}"
-        | _ -> false
-      in
-      match List.filter matching points with
-      | [ pt ] -> [ Relax_experiments.Load.run_point ?jobs ~params pt ]
-      | _ ->
-        Fmt.epr "unknown lattice point %S (expected top | q1 | q2 | bottom)@." p;
-        exit 2)
-  in
-  Fmt.pr "== X-load: %s workload over the sharded engine ==@."
-    (if params.closed then "closed-loop" else "open-loop");
-  Fmt.pr "ops %d  shards %d  sites %d  rate %.2f/ms  reads %.0f%%  drop %.3f  crash %b@."
-    params.ops params.shards params.sites params.rate
-    (100.0 *. params.read_fraction) params.drop params.crash;
-  if params.closed then
-    Fmt.pr "closed loop: at most %d in-flight operations per shard@."
-      params.concurrency;
-  List.iter (fun o -> Fmt.pr "%a@." Relax_experiments.Load.pp_outcome o) outcomes;
-  (match out_file with
-  | None -> ()
-  | Some path ->
-    let oc = open_out path in
-    output_string oc (Relax_experiments.Load.json_of_outcomes outcomes);
-    close_out oc;
-    Fmt.pr "wrote %s@." path);
-  0
+  match point with
+  | Some name when not (List.mem name T.point_names) ->
+    usage_error "unknown lattice point %S (expected %s)" name
+      (alts T.point_names)
+  | _ ->
+    let outcomes =
+      match point with
+      | None -> L.run ?jobs ~params ()
+      | Some name -> [ L.run_point ?jobs ~params (T.point ~n:sites name) ]
+    in
+    Fmt.pr "== X-load: %s workload over the sharded engine ==@."
+      (if params.closed then "closed-loop" else "open-loop");
+    Fmt.pr "ops %d  shards %d  sites %d  rate %.2f/ms  reads %.0f%%  drop %.3f  crash %b@."
+      params.ops params.shards params.sites params.rate
+      (100.0 *. params.read_fraction) params.drop params.crash;
+    if params.closed then
+      Fmt.pr "closed loop: at most %d in-flight operations per shard@."
+        params.concurrency;
+    List.iter (fun o -> Fmt.pr "%a@." L.pp_outcome o) outcomes;
+    Option.iter
+      (fun path ->
+        write_file path (L.json_of_outcomes outcomes);
+        Fmt.pr "wrote %s@." path)
+      out_file;
+    0
 
 let load_cmd =
   let doc =
@@ -1440,21 +1320,19 @@ let load_cmd =
      availability, latency percentiles and throughput."
   in
   let d = Relax_experiments.Load.default_params in
-  let ops_arg =
-    let doc = "Total client operations across all shards." in
-    Arg.(value & opt int d.ops & info [ "ops"; "n" ] ~docv:"N" ~doc)
-  in
   let shards_arg =
     let doc = "Independent simulation shards (one engine each)." in
-    Arg.(value & opt int d.shards & info [ "shards" ] ~docv:"N" ~doc)
-  in
-  let sites_arg =
-    let doc = "Replica sites per shard." in
-    Arg.(value & opt int d.sites & info [ "sites" ] ~docv:"N" ~doc)
+    Arg.(
+      value
+      & opt (positive_int "number of shards") d.shards
+      & info [ "shards" ] ~docv:"N" ~doc)
   in
   let rate_arg =
     let doc = "Mean arrivals per simulated millisecond, per shard." in
-    Arg.(value & opt float d.rate & info [ "rate" ] ~docv:"R" ~doc)
+    Arg.(
+      value
+      & opt (positive_float "rate") d.rate
+      & info [ "rate" ] ~docv:"R" ~doc)
   in
   let read_arg =
     let doc = "Fraction of operations that are reads (Deq)." in
@@ -1485,24 +1363,26 @@ let load_cmd =
   let concurrency_arg =
     let doc = "In-flight operation bound per shard (closed loop only)." in
     Arg.(
-      value & opt int d.concurrency & info [ "concurrency" ] ~docv:"N" ~doc)
+      value
+      & opt (positive_int "concurrency") d.concurrency
+      & info [ "concurrency" ] ~docv:"N" ~doc)
   in
   let point_arg =
-    let doc =
-      "Run a single lattice point (top | q1 | q2 | bottom) instead of the \
-       full sweep."
-    in
-    Arg.(value & opt (some string) None & info [ "point" ] ~docv:"POINT" ~doc)
-  in
-  let out_arg =
-    let doc = "Write the outcomes as JSON to $(docv) (the CI artifact)." in
-    Arg.(value & opt (some string) None & info [ "out" ] ~docv:"FILE" ~doc)
+    point_arg Arg.(some string) None
+      ~doc:
+        (Fmt.str "Run a single lattice point (%s) instead of the full sweep."
+           (alts Relax_experiments.Taxi.point_names))
   in
   Cmd.v (Cmd.info "load" ~doc)
     Term.(
-      const run_load $ ops_arg $ shards_arg $ sites_arg $ rate_arg $ read_arg
-      $ timeout_arg $ drop_arg $ no_crash_arg $ closed_arg $ concurrency_arg
-      $ seed_arg $ point_arg $ jobs_arg $ out_arg)
+      const run_load
+      $ ops_arg d.ops ~doc:"Total client operations across all shards."
+      $ shards_arg
+      $ sites_arg (positive_int "number of sites") d.sites
+          ~doc:"Replica sites per shard."
+      $ rate_arg $ read_arg $ timeout_arg $ drop_arg $ no_crash_arg
+      $ closed_arg $ concurrency_arg $ sim_seed_arg $ point_arg $ jobs_arg
+      $ out_arg ~doc:"Write the outcomes as JSON to $(docv) (the CI artifact).")
 
 (* ------------------------------------------------------------------ *)
 (* rlx relax                                                           *)
@@ -1610,37 +1490,34 @@ let run_relax_bench domain_counts ops k j seed out =
   let rows = X.bench_rows ~domain_counts ~ops_per_domain:ops ~k ~j ~seed () in
   Fmt.pr "== relax bench: %d ops/domain, k=%d j=%d, seed %d ==@." ops k j seed;
   Fmt.pr "%a" X.pp_bench rows;
-  (match out with
-  | None -> ()
-  | Some path ->
-    let oc = open_out path in
-    output_string oc (X.bench_to_json rows);
-    output_string oc "\n";
-    close_out oc;
-    Fmt.pr "wrote %s@." path);
+  Option.iter
+    (fun path ->
+      write_file path (X.bench_to_json rows ^ "\n");
+      Fmt.pr "wrote %s@." path)
+    out;
   0
 
 let relax_cmd =
   let d = Relax_relax.Harness.default_params in
+  let domains = positive_int "number of domains" in
   let domains_arg =
     let doc = "Number of domains racing on the structure." in
-    Arg.(value & opt int d.domains & info [ "domains"; "d" ] ~docv:"N" ~doc)
+    Arg.(value & opt domains d.domains & info [ "domains"; "d" ] ~docv:"N" ~doc)
   in
-  let ops_arg ~default =
-    let doc = "Operations per domain." in
-    Arg.(value & opt int default & info [ "ops"; "n" ] ~docv:"N" ~doc)
-  in
+  let ops_arg default = ops_arg default ~doc:"Operations per domain." in
   let k_arg =
     let doc = "Relaxation bound: segment width of the k-relaxed queue." in
-    Arg.(value & opt int d.k & info [ "k" ] ~docv:"K" ~doc)
+    Arg.(
+      value
+      & opt (positive_int "relaxation bound") d.k
+      & info [ "k" ] ~docv:"K" ~doc)
   in
   let j_arg =
     let doc = "Stutter budget of the j-stuttering queue." in
-    Arg.(value & opt int d.j & info [ "j" ] ~docv:"J" ~doc)
-  in
-  let relax_seed_arg =
-    let doc = "Base seed (run $(i,i) of a sweep uses $(i,SEED+i))." in
-    Arg.(value & opt int d.seed & info [ "seed"; "s" ] ~docv:"SEED" ~doc)
+    Arg.(
+      value
+      & opt (positive_int "stutter budget") d.j
+      & info [ "j" ] ~docv:"J" ~doc)
   in
   let run_cmd =
     let impl_arg =
@@ -1663,13 +1540,10 @@ let relax_cmd =
       Arg.(value & flag & info [ "events" ] ~doc)
     in
     let exits =
-      Cmd.Exit.info
-        ~doc:
-          "the recorded history conforms (for $(b,--impl planted): the \
-           checker caught the planted overtake)."
-        0
-      :: Cmd.Exit.info ~doc:"the conformance verdict went the wrong way." 1
-      :: List.filter (fun i -> Cmd.Exit.info_code i > 1) Cmd.Exit.defaults
+      exits
+        "the recorded history conforms (for $(b,--impl planted): the \
+         checker caught the planted overtake)."
+        "the conformance verdict went the wrong way."
     in
     let doc =
       "One seeded multi-domain workload against a live structure, recorded \
@@ -1678,18 +1552,18 @@ let relax_cmd =
     Cmd.v (Cmd.info "run" ~doc ~exits)
       Term.(
         const run_relax_run $ impl_arg $ domains_arg
-        $ ops_arg ~default:d.ops_per_domain $ k_arg $ j_arg $ prefill_arg
+        $ ops_arg d.ops_per_domain $ k_arg $ j_arg $ prefill_arg
         $ bias_arg
-        $ Arg.(
-            value
-            & opt (some int) None
-            & info [ "seed"; "s" ] ~docv:"SEED" ~doc:"Workload seed.")
+        $ seed_arg Arg.(some int) None ~doc:"Workload seed."
         $ events_arg)
   in
   let check_cmd =
     let seeds_arg =
       let doc = "Number of seeded runs in the conformance sweep." in
-      Arg.(value & opt int 20 & info [ "seeds" ] ~docv:"N" ~doc)
+      Arg.(
+        value
+        & opt (positive_int "number of seeds") 20
+        & info [ "seeds" ] ~docv:"N" ~doc)
     in
     let doc =
       "The conformance gate: a pinned-seed multi-domain sweep against \
@@ -1697,34 +1571,25 @@ let relax_cmd =
        trajectory under the combined automaton."
     in
     let exits =
-      Cmd.Exit.info
-        ~doc:
-          "every sweep run accepted, the planted variant rejected at its \
-           claimed bound, and the elastic trajectory (with at least one \
-           widen and one narrow) accepted."
-        0
-      :: Cmd.Exit.info ~doc:"at least one of those gates failed." 1
-      :: List.filter (fun i -> Cmd.Exit.info_code i > 1) Cmd.Exit.defaults
+      exits
+        "every sweep run accepted, the planted variant rejected at its \
+         claimed bound, and the elastic trajectory (with at least one \
+         widen and one narrow) accepted."
+        "at least one of those gates failed."
     in
     Cmd.v (Cmd.info "check" ~doc ~exits)
       Term.(
-        const run_relax_check $ domains_arg $ ops_arg ~default:60 $ k_arg
+        const run_relax_check $ domains_arg $ ops_arg 60 $ k_arg
         $ j_arg $ seeds_arg
-        $ Arg.(
-            value & opt int 0
-            & info [ "seed"; "s" ] ~docv:"SEED" ~doc:"First seed of the sweep."))
+        $ seed_arg Arg.int 0 ~doc:"First seed of the sweep.")
   in
   let bench_cmd =
     let domain_counts_arg =
       let doc = "Comma-separated domain counts to scale across." in
       Arg.(
         value
-        & opt (list int) [ 1; 2; 4; 8 ]
+        & opt (list domains) [ 1; 2; 4; 8 ]
         & info [ "domains"; "d" ] ~docv:"LIST" ~doc)
-    in
-    let out_arg =
-      let doc = "Write the rows as JSON to $(docv) (the CI artifact)." in
-      Arg.(value & opt (some string) None & info [ "out" ] ~docv:"FILE" ~doc)
     in
     let doc =
       "Unrecorded throughput: the segment-window relaxed queue versus the \
@@ -1732,8 +1597,11 @@ let relax_cmd =
     in
     Cmd.v (Cmd.info "bench" ~doc)
       Term.(
-        const run_relax_bench $ domain_counts_arg $ ops_arg ~default:50_000
-        $ k_arg $ j_arg $ relax_seed_arg $ out_arg)
+        const run_relax_bench $ domain_counts_arg $ ops_arg 50_000
+        $ k_arg $ j_arg
+        $ seed_arg Arg.int d.seed
+            ~doc:"Base seed (run $(i,i) of a sweep uses $(i,SEED+i))."
+        $ out_arg ~doc:"Write the rows as JSON to $(docv) (the CI artifact).")
   in
   let doc =
     "Live multicore relaxed queues: run, conformance-check and benchmark \

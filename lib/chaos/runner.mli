@@ -67,7 +67,7 @@ type result = {
       (** [None] when no online oracle was passed, or it conforms *)
   recoveries : int;
       (** journal recoveries performed (0 unless the run was durable) *)
-  metrics : Relax_sim.Metrics.t;
+  metrics : Relax_obs.Metrics.t;
   digest : string;
       (** canonical condensation of the run — replay equivalence is
           string equality of digests *)

@@ -86,7 +86,7 @@ let run_body ppf =
         r.enq_availability r.deq_availability)
     rows;
   (* cross-check: exact vs Monte Carlo on the preferred point at p=0.9 *)
-  let preferred = List.hd (Taxi.points ~n:5) in
+  let preferred = Taxi.point ~n:5 "top" in
   let exact =
     op_availability preferred.Taxi.assignment ~p:0.9 Queue_ops.deq_name
   in
@@ -101,18 +101,11 @@ let run_body ppf =
   let monotone =
     List.for_all
       (fun p ->
-        let avail label =
-          let point =
-            List.find
-              (fun (pt : Taxi.point) -> pt.Taxi.label = label)
-              (Taxi.points ~n:5)
-          in
-          op_availability point.Taxi.assignment ~p Queue_ops.deq_name
+        let avail name =
+          op_availability (Taxi.point ~n:5 name).Taxi.assignment ~p
+            Queue_ops.deq_name
         in
-        let points = Taxi.points ~n:5 in
-        let top = avail (List.hd points).Taxi.label in
-        let bottom = avail (List.nth points 3).Taxi.label in
-        bottom >= top)
+        avail "bottom" >= avail "top")
       [ 0.5; 0.7; 0.9 ]
   in
   Fmt.pf ppf "relaxation never hurts availability: %b@\n" monotone;

@@ -29,41 +29,43 @@ type scenario = {
       (* fresh incremental oracle over the same predicted behavior *)
 }
 
-(* The cset of each X-deg lattice point (independent of the site count). *)
-let fixed ?(durable = false) ?judged_by index name description =
-  let cset_of i = (List.nth (Taxi.points ~n:5) i).Taxi.cset in
-  let cset = cset_of (Option.value judged_by ~default:index) in
+(* A scenario running the X-deg lattice point named [point], judged
+   against the cset of the point named [judged_by] (default: its own;
+   a cset is independent of the site count) and itself named [name]
+   (default: the point's name). *)
+let fixed ?(durable = false) ?judged_by ?name point description =
+  let judged_by = Option.value judged_by ~default:point in
+  let cset = (Taxi.point ~n:5 judged_by).Taxi.cset in
   {
-    name;
+    name = Option.value name ~default:point;
     description;
     lattice = Cset.to_string cset;
     durable;
     client =
       (fun ~sites ->
-        Chaos.Runner.Fixed
-          (List.nth (Taxi.points ~n:sites) index).Taxi.assignment);
+        Chaos.Runner.Fixed (Taxi.point ~n:sites point).Taxi.assignment);
     accepts = Taxi.predicted_accepts cset;
     online = (fun () -> Taxi.predicted_online cset);
   }
 
 let all =
   [
-    fixed 0 "top" "{Q1,Q2}: the preferred priority queue (PQ)";
-    fixed 1 "q1" "{Q1}: duplicates possible (MPQ)";
-    fixed 2 "q2" "{Q2}: reordering possible (OPQ)";
-    fixed 3 "bottom" "{}: any service of any request (DegenPQ)";
+    fixed "top" "{Q1,Q2}: the preferred priority queue (PQ)";
+    fixed "q1" "{Q1}: duplicates possible (MPQ)";
+    fixed "q2" "{Q2}: reordering possible (OPQ)";
+    fixed "bottom" "{}: any service of any request (DegenPQ)";
     (* The journal-intact constraint point: the top assignment with
        write-ahead journals, so a crash is a power loss — volatile logs
        evaporate — yet recovery from stable storage must keep histories
        inside the same {Q1,Q2} language as top. *)
-    fixed ~durable:true 0 "recover"
+    fixed ~durable:true ~name:"recover" "top"
       "{Q1,Q2} with journals: crash = power loss, recovery replays the WAL";
     (* The journal-lost point: same durable setup, but judged against
        the empty constraint set — the honest lattice position once
        stable storage itself can be lost (the amnesia nemesis).  Its
        claim sweeps with amnesia enabled: conformance to anything
        stronger is exactly the assumption amnesia breaks. *)
-    fixed ~durable:true ~judged_by:3 0 "lost"
+    fixed ~durable:true ~name:"lost" ~judged_by:"bottom" "top"
       "{} with journals: stable-storage loss degrades to DegenPQ honestly";
     {
       name = "adaptive";

@@ -19,15 +19,15 @@ type row = {
   measured : string;
 }
 
+(* Deq availability at p(up) = 0.9 of the X-deg point named [name]. *)
+let deq_avail name =
+  Availability.op_availability (Taxi.point ~n:5 name).Taxi.assignment ~p:0.9
+    Relax_objects.Queue_ops.deq_name
+
 let rows () =
   (* availability measurement *)
-  let points = Taxi.points ~n:5 in
-  let avail point =
-    Availability.op_availability point.Taxi.assignment ~p:0.9
-      Relax_objects.Queue_ops.deq_name
-  in
-  let preferred_avail = avail (List.hd points) in
-  let relaxed_avail = avail (List.nth points 3) in
+  let preferred_avail = deq_avail "top" in
+  let relaxed_avail = deq_avail "bottom" in
   (* latency / premature-debit measurement *)
   let bounce_now =
     Atm.run_once ~relax_a2:false ~think_time:0.0 ()
@@ -82,14 +82,7 @@ let run ppf () =
         r.preferred r.constraints r.cost r.events r.measured)
     rows;
   (* the measured trade-off directions must match the paper's narrative *)
-  let points = Taxi.points ~n:5 in
-  let avail point =
-    Availability.op_availability point.Taxi.assignment ~p:0.9
-      Relax_objects.Queue_ops.deq_name
-  in
-  let availability_direction =
-    avail (List.nth points 3) >= avail (List.hd points)
-  in
+  let availability_direction = deq_avail "bottom" >= deq_avail "top" in
   let bounce_now = Atm.run_once ~relax_a2:false ~think_time:0.0 () in
   let bounce_later = Atm.run_once ~relax_a2:false ~think_time:150.0 () in
   let latency_direction =

@@ -90,8 +90,8 @@ let run_point ?(seed = 21) ?(timeout = 60.0) ?retries ?backoff
   }
 
 let run ?seed ?timeout ?retries ?backoff ppf () =
-  let points = Taxi.points ~n:5 in
-  let preferred = List.hd points and relaxed = List.nth points 3 in
+  let preferred = Taxi.point ~n:5 "top"
+  and relaxed = Taxi.point ~n:5 "bottom" in
   let o_pref = run_point ?seed ?timeout ?retries ?backoff preferred
   and o_rel = run_point ?seed ?timeout ?retries ?backoff relaxed in
   Fmt.pf ppf "== Network partition: majority {0,1,2} vs minority {3,4} ==@\n";

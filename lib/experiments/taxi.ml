@@ -16,7 +16,12 @@ open Relax_replica
    accepted by the behavior the lattice predicts and — for the strict
    points — NOT always by a stronger one. *)
 
-type point = { label : string; cset : Cset.t; assignment : Assignment.t }
+type point = {
+  name : string;
+  label : string;
+  cset : Cset.t;
+  assignment : Assignment.t;
+}
 
 (* Voting assignments over [n] sites realizing each constraint set.  Enq
    always writes where it can (final threshold f_e) and Deq reads i_d and
@@ -24,8 +29,9 @@ type point = { label : string; cset : Cset.t; assignment : Assignment.t }
    relaxed assignments use threshold 1 ("any available site"). *)
 let points ~n =
   let maj = (n / 2) + 1 in
-  let mk label cset enq_final deq_init deq_final =
+  let mk name label cset enq_final deq_init deq_final =
     {
+      name;
       label;
       cset;
       assignment =
@@ -38,13 +44,16 @@ let points ~n =
     }
   in
   [
-    mk "{Q1,Q2} (preferred: PQ)"
+    mk "top" "{Q1,Q2} (preferred: PQ)"
       (Cset.of_list [ "Q1"; "Q2" ])
       maj maj maj;
-    mk "{Q1} (MPQ: duplicates possible)" (Cset.singleton "Q1") maj maj 1;
-    mk "{Q2} (OPQ: reordering possible)" (Cset.singleton "Q2") 1 maj maj;
-    mk "{} (DegenPQ)" Cset.empty 1 1 1;
+    mk "q1" "{Q1} (MPQ: duplicates possible)" (Cset.singleton "Q1") maj maj 1;
+    mk "q2" "{Q2} (OPQ: reordering possible)" (Cset.singleton "Q2") 1 maj maj;
+    mk "bottom" "{} (DegenPQ)" Cset.empty 1 1 1;
   ]
+
+let point ~n name = List.find (fun p -> p.name = name) (points ~n)
+let point_names = List.map (fun p -> p.name) (points ~n:1)
 
 type outcome = {
   label : string;

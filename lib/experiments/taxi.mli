@@ -5,12 +5,25 @@ open Relax_quorum
     Section 3.3 on the message-passing replica runtime with injected
     crashes, one run per lattice point under an identical fault trace. *)
 
-(** A lattice point: its constraint set and a voting assignment realizing
-    it. *)
-type point = { label : string; cset : Cset.t; assignment : Assignment.t }
+(** A lattice point: its short name, its constraint set and a voting
+    assignment realizing it. *)
+type point = {
+  name : string;  (** the short name the CLI and chaos scenarios use *)
+  label : string;  (** the constraint set with its behavior *)
+  cset : Cset.t;
+  assignment : Assignment.t;
+}
 
-(** The four points over [n] sites ({Q1,Q2}, {Q1}, {Q2}, {}). *)
+(** The four points over [n] sites, in lattice order: top {Q1,Q2}, q1
+    {Q1}, q2 {Q2}, bottom {}. *)
 val points : n:int -> point list
+
+(** The point named [name] over [n] sites.
+    @raise Not_found for a name not in {!point_names}. *)
+val point : n:int -> string -> point
+
+(** The names of {!points}, in order. *)
+val point_names : string list
 
 type outcome = {
   label : string;

@@ -50,7 +50,7 @@ type t = {
   retries : int; (* extra attempts after the first one times out *)
   backoff : float; (* base backoff delay, doubled per retry, jittered *)
   rng : Relax_sim.Rng.t; (* seeded jitter stream, split at creation *)
-  metrics : Relax_sim.Metrics.t option;
+  metrics : Relax_obs.Metrics.t option;
   sites : site array;
   mutable completed : (float * Op.t) list; (* reverse completion order *)
   mutable unavailable : int;
@@ -146,7 +146,7 @@ let journal_append t s record =
 let journal_sync t s =
   match t.journals.(s) with None -> () | Some j -> Journal.sync j.jr
 
-let count t name = Option.iter (fun m -> Relax_sim.Metrics.incr m name) t.metrics
+let count t name = Option.iter (fun m -> Relax_obs.Metrics.incr m name) t.metrics
 
 let engine t = t.engine
 let network t = t.net
@@ -502,7 +502,7 @@ let execute t ~client_site inv callback =
           let delay = t.backoff *. (2.0 ** float_of_int (k - 1)) *. jitter in
           trace_op "replica/retry" [ At.int "attempt" k; At.float "delay" delay ];
           Option.iter
-            (fun m -> Relax_sim.Metrics.observe m "replica/backoff" delay)
+            (fun m -> Relax_obs.Metrics.observe m "replica/backoff" delay)
             t.metrics;
           Relax_sim.Engine.schedule t.engine ~delay (fun () ->
               if not !settled then attempt (k + 1))

@@ -40,7 +40,7 @@ val create :
   ?timeout:float ->
   ?retries:int ->
   ?backoff:float ->
-  ?metrics:Relax_sim.Metrics.t ->
+  ?metrics:Relax_obs.Metrics.t ->
   Relax_sim.Engine.t ->
   Relax_sim.Network.t ->
   Assignment.t ->

@@ -6,14 +6,6 @@
    the COMMANDS sections from the root, so an added or dropped command
    changes the output too. *)
 
-let help rlx path =
-  let args = Array.of_list ((rlx :: path) @ [ "--help=plain" ]) in
-  let ic = Unix.open_process_args_in rlx args in
-  let text = In_channel.input_all ic in
-  match Unix.close_process_in ic with
-  | Unix.WEXITED 0 -> String.split_on_char '\n' text
-  | _ -> failwith ("rlx " ^ String.concat " " path ^ " --help=plain failed")
-
 (* An entry line is indented by exactly seven spaces, its doc prose by
    eleven.  An entry starts after a blank line or a section title; a
    seven-space line right after an entry line continues it (cmdliner
@@ -45,7 +37,7 @@ let first_word s =
   match String.index_opt s ' ' with Some i -> String.sub s 0 i | None -> s
 
 let rec walk rlx path =
-  let entries = sections (help rlx path) in
+  let entries = sections (Help.lines rlx path) in
   let subcommands =
     List.filter_map
       (fun (s, e) -> if s = "COMMANDS" then Some (first_word e) else None)

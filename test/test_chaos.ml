@@ -270,7 +270,7 @@ let trace_tests =
         Alcotest.(check int)
           "attempts counter"
           result.Runner.attempts
-          (Relax_sim.Metrics.count result.Runner.metrics "replica/attempts");
+          (Relax_obs.Metrics.count result.Runner.metrics "replica/attempts");
         Alcotest.(check bool)
           "attempts cover completions" true
           (result.Runner.attempts

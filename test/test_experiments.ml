@@ -77,6 +77,58 @@ let experiment_tests =
     check "Figure 5-1 summary chart" (fun () -> Fig51.run null ());
   ]
 
+(* The four lattice points are named once, in Taxi: the chaos scenarios
+   and `rlx load --point` resolve their points through that table. *)
+let point_tests =
+  let thresholds a =
+    List.map
+      (fun op -> (op, Relax_quorum.Assignment.thresholds a op))
+      (Relax_quorum.Assignment.operations a)
+  in
+  [
+    Alcotest.test_case "points are named top, q1, q2, bottom in order" `Quick
+      (fun () ->
+        Alcotest.(check (list string))
+          "names" [ "top"; "q1"; "q2"; "bottom" ] Taxi.point_names;
+        List.iter
+          (fun n ->
+            List.iter
+              (fun (p : Taxi.point) ->
+                let q = Taxi.point ~n p.name in
+                Alcotest.(check string) "label" p.label q.label;
+                Alcotest.(check bool)
+                  "cset" true
+                  (Relax_core.Cset.equal p.cset q.cset))
+              (Taxi.points ~n))
+          [ 3; 5 ];
+        Alcotest.check_raises "unknown name" Not_found (fun () ->
+            ignore (Taxi.point ~n:5 "recover")));
+    Alcotest.test_case "fixed chaos scenarios run and are judged by name"
+      `Quick (fun () ->
+        List.iter
+          (fun (name, runs, judged_by) ->
+            match Chaos_scenarios.find name with
+            | Error e -> Alcotest.fail e
+            | Ok sc -> (
+              Alcotest.(check string)
+                (name ^ " lattice")
+                (Relax_core.Cset.to_string (Taxi.point ~n:5 judged_by).cset)
+                sc.Chaos_scenarios.lattice;
+              match sc.Chaos_scenarios.client ~sites:3 with
+              | Relax_chaos.Runner.Fixed a ->
+                Alcotest.(check bool)
+                  (name ^ " assignment") true
+                  (thresholds a
+                  = thresholds (Taxi.point ~n:3 runs).Taxi.assignment)
+              | Relax_chaos.Runner.Controlled _ ->
+                Alcotest.fail (name ^ ": expected a fixed client")))
+          [
+            ("top", "top", "top"); ("q1", "q1", "q1"); ("q2", "q2", "q2");
+            ("bottom", "bottom", "bottom"); ("recover", "top", "top");
+            ("lost", "top", "bottom");
+          ]);
+  ]
+
 (* Determinism: experiments are reproducible from their seeds. *)
 let determinism_tests =
   [
@@ -280,6 +332,7 @@ let () =
   Alcotest.run "experiments"
     [
       ("experiments", experiment_tests);
+      ("points", point_tests);
       ("determinism", determinism_tests);
       ("load", load_tests);
       ("debug", debug_tests);

@@ -553,6 +553,8 @@ let shard_tests =
 (* Metrics                                                             *)
 (* ------------------------------------------------------------------ *)
 
+module Metrics = Relax_obs.Metrics
+
 let metrics_tests =
   [
     Alcotest.test_case "counters accumulate" `Quick (fun () ->
