@@ -72,22 +72,7 @@ let fixed_history =
 
 let qca_q1 = Qca.automaton Instances.pq_spec_eta Instances.q1
 
-(* The seed checker for Theorem 4: naive per-step view regeneration plus
-   history enumeration.  Kept as the benchmark baseline the memoized
-   product-state checker is measured against (same depth, fresh automata
-   and caches inside every run for fairness). *)
-let theorem4_legacy depth () =
-  let naive =
-    Automaton.make ~name:"QCA-naive" ~init:History.empty ~equal:History.equal
-      ~hash:History.hash (fun h p ->
-        if Qca.accepts_next Instances.pq_spec_eta Instances.q1 h p then
-          [ History.append h p ]
-        else [])
-  in
-  ignore
-    (Result.is_ok (Language.equivalent_enum naive Mpq.automaton ~alphabet ~depth))
-
-let theorem4_memoized depth () =
+let theorem4 depth () =
   let qca = Qca.automaton_views ~alphabet Instances.pq_spec_eta Instances.q1 in
   ignore (Language.equivalent_bool qca Mpq.automaton ~alphabet ~depth)
 
@@ -103,10 +88,8 @@ let rows_core =
              ~depth:3) );
     ( "qca/accept-history (T4 membership)",
       fun () -> ignore (Automaton.accepts qca_q1 fixed_history) );
-    ("qca/theorem4-equivalence-depth3-legacy (T4)", theorem4_legacy 3);
-    ("qca/theorem4-equivalence-depth3 (T4)", theorem4_memoized 3);
-    ("qca/theorem4-equivalence-depth8-legacy (T4)", theorem4_legacy 8);
-    ("qca/theorem4-equivalence-depth8 (T4)", theorem4_memoized 8);
+    ("qca/theorem4-equivalence-depth3 (T4)", theorem4 3);
+    ("qca/theorem4-equivalence-depth8 (T4)", theorem4 8);
     ( "quorum/serial-dependency-depth3",
       fun () ->
         ignore
@@ -762,7 +745,7 @@ let print_claim_stats () =
 
 (* OLS rows for one representative collapse: the same equivalence
    decided by synthesis + certification (valid at any depth) and by the
-   legacy bounded enumeration (valid up to the depth only). *)
+   bounded product search of [Language] (valid up to the depth only). *)
 let rows_proof =
   let weight = Relax_experiments.Pq_checks.queue_weight in
   let proved budget () =

@@ -3,9 +3,10 @@
    The languages in the paper (L(A), Section 2.1) are prefix-closed sets of
    histories over an operation alphabet.  All the paper's claims —
    inclusions between lattice points, Theorem 4, the Semiqueue_1 = FIFO
-   collapses — are decided here by breadth-first enumeration over a finite
-   alphabet up to a depth bound, reporting counterexample histories on
-   failure. *)
+   collapses — reduce to one question, L(A) ⊆ L(B) up to a depth bound
+   over a finite alphabet, decided here by a breadth-first search of the
+   product of the determinized automata that reports the first
+   counterexample history on failure. *)
 
 type alphabet = Op.t list
 
@@ -90,9 +91,6 @@ let enumerate (a : 'v Automaton.t) ~(alphabet : alphabet) ~depth =
   stats.Stats.histories <- stats.Stats.histories + 1;
   go [ root ] [ History.empty ] depth
 
-let language_set a ~alphabet ~depth =
-  History.Set.of_list (enumerate a ~alphabet ~depth)
-
 (* Interning of states by (hash, equal), assigning dense integer ids so a
    deduplicated state set canonicalizes to a sorted id list.  A collision
    falls back to [equal] within its bucket, so an imperfect hash costs
@@ -121,53 +119,58 @@ module Intern = struct
   let key t states = List.sort_uniq Int.compare (List.map (id t) states)
 end
 
+(* The intern table of an automaton's states.  An automaton without a
+   state hash gets a constant one: every state lands in one bucket and is
+   told apart by [equal] alone, so the checkers below run one algorithm
+   for every automaton, unhashed ones merely slower. *)
+let intern_states a =
+  Intern.create
+    (Option.value (Automaton.hash_state a) ~default:(fun _ -> 0))
+    (Automaton.equal_state a)
+
 (* [size] agrees with [List.length (enumerate ...)] but counts by dynamic
    programming over (state-set, remaining depth) instead of materializing
    one node per history: many histories re-converge to the same
-   determinized state set, so the table is far smaller than the language.
-   Unhashed state spaces fall back to the reference enumeration. *)
+   determinized state set, so the table is far smaller than the language. *)
 let size a ~alphabet ~depth =
-  match Automaton.hash_state a with
-  | None -> List.length (enumerate a ~alphabet ~depth)
-  | Some hash ->
-    let stats = Stats.cell () in
-    let intern = Intern.create hash (Automaton.equal_state a) in
-    let steps : (int list * Op.t, 'v list * int list) Hashtbl.t =
-      Hashtbl.create 256
-    in
-    let memo : (int list * int, int) Hashtbl.t = Hashtbl.create 256 in
-    (* nodes of the accepted-prefix tree rooted at [states], counting the
-       root itself, cut off [remaining] levels down *)
-    let rec count states key remaining =
-      if remaining = 0 then 1
-      else
-        match Hashtbl.find_opt memo (key, remaining) with
-        | Some n -> n
-        | None ->
-          let n =
-            List.fold_left
-              (fun acc p ->
-                let succ, key' =
-                  match Hashtbl.find_opt steps (key, p) with
-                  | Some r -> r
-                  | None ->
-                    let succ = Automaton.step_set a states p in
-                    let r = (succ, Intern.key intern succ) in
-                    Hashtbl.add steps (key, p) r;
-                    r
-                in
-                match succ with
-                | [] -> acc
-                | _ -> acc + count succ key' (remaining - 1))
-              1 alphabet
-          in
-          Hashtbl.add memo (key, remaining) n;
-          n
-    in
-    let init = [ Automaton.init a ] in
-    let n = count init (Intern.key intern init) depth in
-    stats.Stats.histories <- stats.Stats.histories + n;
-    n
+  let stats = Stats.cell () in
+  let intern = intern_states a in
+  let steps : (int list * Op.t, 'v list * int list) Hashtbl.t =
+    Hashtbl.create 256
+  in
+  let memo : (int list * int, int) Hashtbl.t = Hashtbl.create 256 in
+  (* nodes of the accepted-prefix tree rooted at [states], counting the
+     root itself, cut off [remaining] levels down *)
+  let rec count states key remaining =
+    if remaining = 0 then 1
+    else
+      match Hashtbl.find_opt memo (key, remaining) with
+      | Some n -> n
+      | None ->
+        let n =
+          List.fold_left
+            (fun acc p ->
+              let succ, key' =
+                match Hashtbl.find_opt steps (key, p) with
+                | Some r -> r
+                | None ->
+                  let succ = Automaton.step_set a states p in
+                  let r = (succ, Intern.key intern succ) in
+                  Hashtbl.add steps (key, p) r;
+                  r
+              in
+              match succ with
+              | [] -> acc
+              | _ -> acc + count succ key' (remaining - 1))
+            1 alphabet
+        in
+        Hashtbl.add memo (key, remaining) n;
+        n
+  in
+  let init = [ Automaton.init a ] in
+  let n = count init (Intern.key intern init) depth in
+  stats.Stats.histories <- stats.Stats.histories + n;
+  n
 
 (* Per-depth census of the language: element [i] is the number of accepted
    histories of length exactly [i]. *)
@@ -184,90 +187,54 @@ let pp_counterexample ppf c =
   Fmt.pf ppf "%a accepted by %s but rejected by %s" History.pp c.history
     c.holds_in c.fails_in
 
-(* L(a) `subseteq` L(b) up to [depth] by history enumeration: every
-   accepted history of [a] is replayed through [b].  Because both languages
-   are prefix-closed we stop extending a history as soon as [a] rejects it.
-   This is the reference implementation; it visits one node per accepted
-   history, so it also reconstructs the exact witness histories the
-   memoized checker below does not track. *)
-let included_enum (a : 'v Automaton.t) (b : 'w Automaton.t) ~alphabet ~depth =
-  let stats = Stats.cell () in
-  let exception Fail of counterexample in
-  try
-    let rec go level remaining =
-      if remaining = 0 then ()
-      else
-        let extend (f, bstates) =
-          List.filter_map
-            (fun p ->
-              match Automaton.step_set a f.states p with
-              | [] -> None
-              | states ->
-                let history = History.append f.history p in
-                let bstates = Automaton.step_set b bstates p in
-                if bstates = [] then
-                  raise
-                    (Fail
-                       {
-                         history;
-                         holds_in = Automaton.name a;
-                         fails_in = Automaton.name b;
-                       });
-                Some ({ history; states }, bstates))
-            alphabet
-        in
-        let next = List.concat_map extend level in
-        stats.Stats.histories <- stats.Stats.histories + List.length next;
-        if next = [] then () else go next (remaining - 1)
-    in
-    let root = { history = History.empty; states = [ Automaton.init a ] } in
-    go [ (root, [ Automaton.init b ]) ] depth;
-    Ok ()
-  with Fail c -> Error c
-
-(* Memoized inclusion: a breadth-first fixpoint over the reachable
+(* L(a) ⊆ L(b) up to [depth]: a breadth-first search over the reachable
    (A-state-set, B-state-set) pairs of the product of the determinized
-   automata, instead of one node per accepted history.  Many histories
-   reach the same state-set pair, so the frontier collapses to the number
-   of distinct pairs — for the queue-family automata this turns the
-   exponential history count into the (small) reachable product.
+   automata.  Many histories reach the same state-set pair, so the
+   frontier collapses to the number of distinct pairs — for the
+   queue-family automata this turns the exponential history count into
+   the (small) reachable product.
 
    Soundness of the dedup: pairs are explored level by level, so a pair is
    first visited with the largest remaining budget; later arrivals at the
-   same pair can only reach a subset of what the first visit explores.  A
-   failure — an extension accepted by [a] whose B-side empties — exists in
-   the product iff a counterexample history of length <= depth exists, in
-   which case the history enumeration above is replayed to reconstruct the
-   exact same witness the reference checker reports. *)
-let included_pairs (a : 'v Automaton.t) (b : 'w Automaton.t) ~ahash ~bhash
-    ~alphabet ~depth =
+   same pair can only reach a subset of what the first visit explores.
+
+   The witness: each frontier entry carries the first history to reach
+   its pair (reversed, so a visit costs one cons).  Levels are expanded in
+   frontier order and each entry in alphabet order, which is the order
+   enumerating every accepted history of [a] would visit them in, and a
+   pair's first history is the first one in that order.  Whether an
+   extension fails depends on the pair alone, so the first extension [a]
+   accepts and [b] rejects is the shortest failing history, first in
+   enumeration order. *)
+let included (a : 'v Automaton.t) (b : 'w Automaton.t) ~alphabet ~depth =
   let stats = Stats.cell () in
-  let ia = Intern.create ahash (Automaton.equal_state a) in
-  let ib = Intern.create bhash (Automaton.equal_state b) in
+  let ia = intern_states a and ib = intern_states b in
   let visited : (int list * int list, unit) Hashtbl.t = Hashtbl.create 256 in
-  let exception Failed in
+  let exception Failed of Op.t list in
   try
     let rec go level remaining =
       if remaining = 0 then ()
       else
-        let extend (astates, bstates) =
+        let extend (rev, astates, bstates) =
           List.filter_map
             (fun p ->
               match Automaton.step_set a astates p with
               | [] -> None
-              | astates' ->
-                let bstates' = Automaton.step_set b bstates p in
-                if bstates' = [] then raise Failed;
-                let key = (Intern.key ia astates', Intern.key ib bstates') in
-                if Hashtbl.mem visited key then begin
-                  stats.Stats.memo_hits <- stats.Stats.memo_hits + 1;
-                  None
-                end
-                else begin
-                  Hashtbl.add visited key ();
-                  stats.Stats.visited <- stats.Stats.visited + 1;
-                  Some (astates', bstates')
-                end)
+              | astates' -> (
+                let rev = p :: rev in
+                match Automaton.step_set b bstates p with
+                | [] -> raise (Failed rev)
+                | bstates' ->
+                  let key = (Intern.key ia astates', Intern.key ib bstates') in
+                  if Hashtbl.mem visited key then begin
+                    stats.Stats.memo_hits <- stats.Stats.memo_hits + 1;
+                    None
+                  end
+                  else begin
+                    Hashtbl.add visited key ();
+                    stats.Stats.visited <- stats.Stats.visited + 1;
+                    Some (rev, astates', bstates')
+                  end))
             alphabet
         in
         match List.concat_map extend level with
@@ -275,40 +242,20 @@ let included_pairs (a : 'v Automaton.t) (b : 'w Automaton.t) ~ahash ~bhash
         | next -> go next (remaining - 1)
     in
     stats.Stats.visited <- stats.Stats.visited + 1;
-    go [ ([ Automaton.init a ], [ Automaton.init b ]) ] depth;
+    go [ ([], [ Automaton.init a ], [ Automaton.init b ]) ] depth;
     Ok ()
-  with Failed -> (
-    match included_enum a b ~alphabet ~depth with
-    | Error _ as e -> e
-    | Ok () ->
-      (* Unreachable when the hash functions are consistent with equality:
-         the product fixpoint fails iff some bounded history separates the
-         languages. *)
-      invalid_arg
-        (Fmt.str
-           "Language.included: inconsistent state hashing on %s or %s"
-           (Automaton.name a) (Automaton.name b)))
-
-(* [included a b] dispatches to the memoized product fixpoint whenever
-   both automata carry state hashes, and to the reference enumeration
-   otherwise.  Both report identical results (and identical witnesses). *)
-let included (a : 'v Automaton.t) (b : 'w Automaton.t) ~alphabet ~depth =
-  match (Automaton.hash_state a, Automaton.hash_state b) with
-  | Some ahash, Some bhash ->
-    included_pairs a b ~ahash ~bhash ~alphabet ~depth
-  | _ -> included_enum a b ~alphabet ~depth
+  with Failed rev ->
+    Error
+      {
+        history = History.of_list (List.rev rev);
+        holds_in = Automaton.name a;
+        fails_in = Automaton.name b;
+      }
 
 let equivalent a b ~alphabet ~depth =
   match included a b ~alphabet ~depth with
   | Error c -> Error c
   | Ok () -> included b a ~alphabet ~depth
-
-(* Reference equivalence by history enumeration in both directions; kept
-   for cross-validation and benchmarking of the memoized checker. *)
-let equivalent_enum a b ~alphabet ~depth =
-  match included_enum a b ~alphabet ~depth with
-  | Error c -> Error c
-  | Ok () -> included_enum b a ~alphabet ~depth
 
 (* Strict inclusion: a `subseteq` b and some history of b is rejected by a.
    Returns a witness of strictness on success. *)

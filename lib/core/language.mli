@@ -1,11 +1,12 @@
 (** Bounded exploration of automaton languages.
 
     The languages of the paper (prefix-closed sets of histories over an
-    operation alphabet) are compared by breadth-first enumeration over a
-    finite alphabet up to a depth bound, reporting counterexample histories
-    on failure.  All of the paper's language claims — lattice inclusions,
-    Theorem 4, the Semiqueue_1 = FIFO collapse — are decided with these
-    functions. *)
+    operation alphabet) are compared up to a depth bound over a finite
+    alphabet by one procedure, {!included}: a breadth-first search of the
+    product of the determinized automata that reports the first
+    counterexample history on failure.  All of the paper's language claims
+    — lattice inclusions, Theorem 4, the Semiqueue_1 = FIFO collapse — are
+    decided with these functions. *)
 
 type alphabet = Op.t list
 
@@ -18,7 +19,8 @@ type alphabet = Op.t list
 module Stats : sig
   type t = {
     mutable histories : int;
-        (** histories enumerated ({!enumerate} and {!included_enum}) *)
+        (** histories enumerated by {!enumerate} or counted by {!size};
+            the inclusion checkers never touch it *)
     mutable visited : int;
         (** distinct product state-set pairs visited by the memoized
             fixpoint of {!included} (and by simulation synthesis) *)
@@ -33,8 +35,8 @@ module Stats : sig
     mutable synthesized : int;
         (** inclusion directions proved by a certified simulation *)
     mutable fallbacks : int;
-        (** inclusion directions that fell back to bounded enumeration
-            after synthesis or certification failed *)
+        (** inclusion directions that fell back to the bounded
+            {!included} after synthesis or certification failed *)
   }
 
   (** Zero this domain's counters. *)
@@ -52,10 +54,8 @@ end
 (** All accepted histories of length [<= depth], shortest first. *)
 val enumerate : 'v Automaton.t -> alphabet:alphabet -> depth:int -> History.t list
 
-val language_set :
-  'v Automaton.t -> alphabet:alphabet -> depth:int -> History.Set.t
-
-(** Number of accepted histories of length [<= depth]. *)
+(** Number of accepted histories of length [<= depth], counted over
+    determinized state sets rather than one history at a time. *)
 val size : 'v Automaton.t -> alphabet:alphabet -> depth:int -> int
 
 (** Per-depth census: element [i] is the number of accepted histories of
@@ -91,13 +91,14 @@ end
 
 (** [included a b] checks [L(a) ⊆ L(b)] up to [depth].
 
-    When both automata carry state hashes (see {!Automaton.make}) the
-    check runs as a memoized breadth-first fixpoint over the reachable
-    (A-state-set, B-state-set) pairs of the product construction —
-    visiting each distinct pair once instead of each accepted history —
-    and falls back to history enumeration only to reconstruct the exact
-    counterexample on failure.  Unhashed automata use the reference
-    enumeration.  Results and witnesses are identical either way. *)
+    A memoized breadth-first fixpoint over the reachable (A-state-set,
+    B-state-set) pairs of the product construction, visiting each distinct
+    pair once instead of each accepted history.  On failure the
+    counterexample is the shortest history [a] accepts and [b] rejects,
+    first in breadth-first alphabet order — the one enumerating [L(a)]
+    would meet first.  Automata without a state hash (see
+    {!Automaton.make}) are interned by [equal] alone: same answer, more
+    time. *)
 val included :
   'v Automaton.t ->
   'w Automaton.t ->
@@ -105,25 +106,9 @@ val included :
   depth:int ->
   (unit, counterexample) result
 
-(** The reference history-enumeration implementation of {!included}; kept
-    for witness reconstruction, cross-validation and benchmarking. *)
-val included_enum :
-  'v Automaton.t ->
-  'w Automaton.t ->
-  alphabet:alphabet ->
-  depth:int ->
-  (unit, counterexample) result
-
-(** [equivalent a b] checks [L(a) = L(b)] up to [depth]. *)
+(** [equivalent a b] checks [L(a) = L(b)] up to [depth]: {!included} in
+    both directions, the [a ⊆ b] witness first. *)
 val equivalent :
-  'v Automaton.t ->
-  'w Automaton.t ->
-  alphabet:alphabet ->
-  depth:int ->
-  (unit, counterexample) result
-
-(** The reference history-enumeration implementation of {!equivalent}. *)
-val equivalent_enum :
   'v Automaton.t ->
   'w Automaton.t ->
   alphabet:alphabet ->

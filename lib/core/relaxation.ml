@@ -18,8 +18,9 @@ type 'v t = {
 let make ?(in_domain = fun _ -> true) ~name ~constraints phi =
   let constraints = List.sort_uniq String.compare constraints in
   (* phi is called repeatedly on the same constraint sets by the
-     monotonicity and lattice-shape checks; caching its results lets
-     memoizing automata (QCA) keep their step caches warm across checks. *)
+     monotonicity check and the behavior grouping; caching its results
+     lets memoizing automata (QCA) keep their step caches warm across
+     checks. *)
   let cache = Hashtbl.create 8 in
   let phi c =
     let key = Cset.to_string c in
@@ -88,63 +89,21 @@ let check_monotone t ~alphabet ~depth =
       | Error counterexample -> Some { weaker; stronger; counterexample })
     pairs
 
-(* The bounded language table of the whole lattice: one entry per domain
-   point.  Used both by the homomorphism check and by the figure
-   generators. *)
-let language_table t ~alphabet ~depth =
-  List.map
-    (fun c -> (c, Language.language_set (t.phi c) ~alphabet ~depth))
-    (domain t)
-
 (* Groups domain points whose behaviors coincide up to the bound — this is
    exactly the shape of the paper's Figure 4-2, which maps the seven
    nonempty constraint sets of a three-item semiqueue onto three
-   behaviors. *)
+   behaviors.  Each class is compared through its first member, in domain
+   order. *)
 let behavior_classes t ~alphabet ~depth =
-  let table = language_table t ~alphabet ~depth in
   let rec group = function
     | [] -> []
-    | (c, lang) :: rest ->
+    | c :: rest ->
+      let a = t.phi c in
       let same, different =
-        List.partition (fun (_, l) -> History.Set.equal lang l) rest
+        List.partition
+          (fun c' -> Language.equivalent_bool a (t.phi c') ~alphabet ~depth)
+          rest
       in
-      (c :: List.map fst same, Automaton.name (t.phi c)) :: group different
+      (c :: same, Automaton.name a) :: group different
   in
-  group table
-
-(* Checks that phi maps lattice meets and joins in 2^C to meets and joins
-   of bounded languages: under reverse inclusion the join of two lattice
-   points is phi(C1 ∪ C2) and must accept exactly the histories accepted by
-   both, restricted to the image; dually for meets.  Since the image may be
-   a proper sublattice we verify the weaker, always-necessary conditions
-   L(phi(C1 ∪ C2)) ⊆ L(phi(Ci)) ⊆ L(phi(C1 ∩ C2)) and that phi is
-   well-defined up to language equality on equal constraint sets. *)
-let check_lattice_shape t ~alphabet ~depth =
-  let dom = domain t in
-  let find c = List.exists (Cset.equal c) dom in
-  let errors = ref [] in
-  List.iter
-    (fun c1 ->
-      List.iter
-        (fun c2 ->
-          let join = Cset.union c1 c2 and meet = Cset.inter c1 c2 in
-          let check_incl stronger weaker =
-            (* L(phi(c)) ⊆ L(phi(c)) is reflexively true at any bound. *)
-            if (not (Cset.equal stronger weaker)) && find stronger
-               && find weaker then
-              match
-                Language.included (t.phi stronger) (t.phi weaker) ~alphabet
-                  ~depth
-              with
-              | Ok () -> ()
-              | Error counterexample ->
-                errors :=
-                  { weaker; stronger; counterexample } :: !errors
-          in
-          check_incl join c1;
-          check_incl join c2;
-          check_incl c1 meet;
-          check_incl c2 meet)
-        dom)
-    dom;
-  List.rev !errors
+  group (domain t)

@@ -41,27 +41,22 @@ val pp_violation : violation Fmt.t
 
 (** Checks the defining property of a relaxation lattice up to the bound:
     [C1 ⊂ C2] implies [L(phi(C2)) ⊆ L(phi(C1))].  Returns all violations
-    (empty list = lattice is monotone). *)
+    (empty list = lattice is monotone).
+
+    This also settles the lattice-shape conditions
+    [L(phi(C1 ∪ C2)) ⊆ L(phi(Ci)) ⊆ L(phi(C1 ∩ C2))] over the domain:
+    each is an inclusion between comparable domain points, stronger set
+    strictly containing the weaker (or trivial when they are equal), and
+    every comparable pair [S ⊃ W] arises as such a condition, from
+    [C1 = S] and [C2 = W]. *)
 val check_monotone :
   'v t -> alphabet:Language.alphabet -> depth:int -> violation list
 
-(** Bounded language of every domain point. *)
-val language_table :
-  'v t ->
-  alphabet:Language.alphabet ->
-  depth:int ->
-  (Cset.t * History.Set.t) list
-
-(** Groups domain points with identical bounded behavior, labelled by the
-    automaton name — the shape of the paper's Figure 4-2. *)
+(** Groups domain points with equal bounded languages (decided by
+    {!Language.equivalent}), labelled by the automaton name of each
+    group's first point — the shape of the paper's Figure 4-2. *)
 val behavior_classes :
   'v t ->
   alphabet:Language.alphabet ->
   depth:int ->
   (Cset.t list * string) list
-
-(** Checks that [phi] respects the lattice structure: for all domain points,
-    [L(phi(C1 ∪ C2)) ⊆ L(phi(Ci)) ⊆ L(phi(C1 ∩ C2))] whenever the
-    endpoints are in the domain. *)
-val check_lattice_shape :
-  'v t -> alphabet:Language.alphabet -> depth:int -> violation list

@@ -17,7 +17,9 @@ type check = Pq_checks.check = { name : string; ok : bool; detail : string }
 (* Strict inclusion: the inclusion side goes through the proof pipeline
    when a strategy is given (a simulated inclusion plus the concrete
    separating witness is a genuinely proved strict inclusion); the
-   witness side is always the enumeration, which reconstructs it. *)
+   witness side is always the bounded product search of [Language],
+   whose first failing history in the reverse direction is the
+   witness. *)
 let strict ?strategy name small big ~alphabet ~depth =
   let decided, proof_method =
     match strategy with

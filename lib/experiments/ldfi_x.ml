@@ -320,27 +320,56 @@ let bool_field s key =
       | Some b -> Ok b
       | None -> Error (Fmt.str "field %S is not a boolean: %s" key raw))
 
-(* a double-quoted string starting at [from]; undoes [json_escape] *)
+(* the code unit of the four hex digits at [i], if there are four *)
+let hex4 s i =
+  let digit c =
+    match c with
+    | '0' .. '9' -> Some (Char.code c - Char.code '0')
+    | 'a' .. 'f' -> Some (Char.code c - Char.code 'a' + 10)
+    | 'A' .. 'F' -> Some (Char.code c - Char.code 'A' + 10)
+    | _ -> None
+  in
+  let rec go acc i k =
+    if k = 0 then Some acc
+    else if i >= String.length s then None
+    else Option.bind (digit s.[i]) (fun d -> go ((acc * 16) + d) (i + 1) (k - 1))
+  in
+  go 0 i 4
+
+(* a double-quoted string starting at [from] and the index after it;
+   undoes every escape [json_escape] writes *)
 let quoted s from =
-  if from >= String.length s || s.[from] <> '"' then
-    Error "expected a quoted string"
-  else begin
+  let n = String.length s in
+  if from >= n || s.[from] <> '"' then Error "expected a quoted string"
+  else
     let b = Buffer.create 16 in
-    let i = ref (from + 1) and stop = ref None in
-    while !stop = None && !i < String.length s do
-      (match s.[!i] with
-      | '"' -> stop := Some (!i + 1)
-      | '\\' when !i + 1 < String.length s ->
-        incr i;
-        Buffer.add_char b
-          (match s.[!i] with 'n' -> '\n' | 't' -> '\t' | c -> c)
-      | c -> Buffer.add_char b c);
-      incr i
-    done;
-    match !stop with
-    | Some next -> Ok (Buffer.contents b, next)
-    | None -> Error "unterminated string"
-  end
+    let rec go i =
+      if i >= n then Error "unterminated string"
+      else
+        match s.[i] with
+        | '"' -> Ok (Buffer.contents b, i + 1)
+        | '\\' when i + 1 < n -> (
+          let char c =
+            Buffer.add_char b c;
+            go (i + 2)
+          in
+          match s.[i + 1] with
+          | ('"' | '\\') as c -> char c
+          | 'n' -> char '\n'
+          | 'r' -> char '\r'
+          | 't' -> char '\t'
+          | 'u' -> (
+            match hex4 s (i + 2) with
+            | Some u when Uchar.is_valid u ->
+              Buffer.add_utf_8_uchar b (Uchar.of_int u);
+              go (i + 6)
+            | _ -> Error "bad \\u escape")
+          | c -> Error (Fmt.str "bad escape \\%c" c))
+        | c ->
+          Buffer.add_char b c;
+          go (i + 1)
+    in
+    go (from + 1)
 
 let string_field s key =
   match find_sub s (Fmt.str "\"%s\":" key) 0 with
@@ -364,7 +393,8 @@ let string_list_field s key =
     go [] start
 
 (* split the [points] array into object chunks by brace depth (outcome
-   objects nest no further) *)
+   objects nest no further), stepping over strings whole so a brace or
+   bracket inside a point name or fault set is only text *)
 let point_chunks s =
   match find_sub s "\"points\":[" 0 with
   | None -> Error "missing field \"points\""
@@ -374,6 +404,9 @@ let point_chunks s =
         if depth = 0 then Ok (List.rev acc) else Error "unterminated object"
       else
         match (s.[i], depth) with
+        | '"', _ ->
+          Result.bind (quoted s i) (fun (_, next) ->
+              go acc obj_start depth next)
         | '{', 0 -> go acc i 1 (i + 1)
         | '{', d -> go acc obj_start (d + 1) (i + 1)
         | '}', 1 ->

@@ -331,13 +331,13 @@ let run ?jobs ~params () =
    diffable; wall-clock fields are included but meant to be stripped by
    the comparison (jq keeps [availability]/percentile fields only). *)
 let json_of_outcomes outcomes =
-  let field name v = Printf.sprintf "%S:%s" name v in
+  let field name v = Printf.sprintf "\"%s\":%s" name v in
   let num f = if Float.is_nan f then "null" else Printf.sprintf "%.3f" f in
   let one o =
     "{"
     ^ String.concat ","
         [
-          field "label" (Printf.sprintf "%S" o.label);
+          field "label" Relax_obs.Attr.(value_to_json (Str o.label));
           field "ops" (string_of_int o.ops);
           field "completed" (string_of_int o.completed);
           field "unavailable" (string_of_int o.unavailable);

@@ -88,8 +88,8 @@ let pp_bench ppf rows =
 
 let bench_to_json rows =
   let row (impl, domains, mops) =
-    Fmt.str "{\"impl\": %S, \"domains\": %d, \"mops\": %.3f}"
-      (Relax.Harness.impl_name impl)
+    Fmt.str "{\"impl\": %s, \"domains\": %d, \"mops\": %.3f}"
+      Relax_obs.Attr.(value_to_json (Str (Relax.Harness.impl_name impl)))
       domains mops
   in
   Fmt.str "{\"rows\": [%s]}" (String.concat ", " (List.map row rows))

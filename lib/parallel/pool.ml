@@ -22,7 +22,11 @@
 
    Nested calls run sequentially: a worker domain that itself calls [map]
    gets a plain [List.map], so parallel checks that internally use
-   parallel estimators do not multiply domains. *)
+   parallel estimators do not multiply domains.  So does a call made
+   while the calling domain has an ambient tracer installed: the tracer
+   is per-domain, so tasks on pool workers would record nothing, and a
+   traced run must record every task's events in input order at any
+   [jobs]. *)
 
 let jobs_env = "RLX_JOBS"
 
@@ -79,14 +83,12 @@ let pool =
   }
 
 (* Claim-and-run loop over a batch; shared by pool workers and the
-   calling domain.  Returns the number of tasks this worker executed. *)
+   calling domain. *)
 let drain (b : batch) =
   let n = Array.length b.tasks in
-  let ran = ref 0 in
   let rec loop () =
     let i = Atomic.fetch_and_add b.next 1 in
     if i < n then begin
-      incr ran;
       b.tasks.(i) ();
       if Atomic.fetch_and_add b.left (-1) = 1 then begin
         (* last task out signals the caller *)
@@ -97,36 +99,33 @@ let drain (b : batch) =
       loop ()
     end
   in
-  loop ();
-  !ran
+  loop ()
 
 (* A parked worker: wait for the generation to move, drain the published
-   batch, park again.  Workers run with the ambient tracer suppressed —
-   a task executing on a worker would otherwise emit a
-   schedule-dependent subset of events into some caller's trace. *)
+   batch, park again.  A worker domain starts with no ambient tracer (it
+   is per-domain state) and only ever runs tasks of untraced calls. *)
 let worker_main () =
-  Relax_obs.Tracer.Ambient.without (fun () ->
-      let seen = ref 0 in
-      let rec park () =
-        Mutex.lock pool.lock;
-        while (not pool.shutdown) && pool.generation = !seen do
-          Condition.wait pool.wake pool.lock
-        done;
-        let job =
-          if pool.shutdown then None
-          else begin
-            seen := pool.generation;
-            pool.current
-          end
-        in
-        Mutex.unlock pool.lock;
-        match job with
-        | None -> if not pool.shutdown then park ()
-        | Some b ->
-          if Atomic.fetch_and_add b.seats (-1) > 0 then ignore (drain b);
-          park ()
-      in
-      park ())
+  let seen = ref 0 in
+  let rec park () =
+    Mutex.lock pool.lock;
+    while (not pool.shutdown) && pool.generation = !seen do
+      Condition.wait pool.wake pool.lock
+    done;
+    let job =
+      if pool.shutdown then None
+      else begin
+        seen := pool.generation;
+        pool.current
+      end
+    in
+    Mutex.unlock pool.lock;
+    match job with
+    | None -> if not pool.shutdown then park ()
+    | Some b ->
+      if Atomic.fetch_and_add b.seats (-1) > 0 then drain b;
+      park ()
+  in
+  park ()
 
 let shutdown () =
   Mutex.lock pool.lock;
@@ -159,7 +158,11 @@ let map ?jobs f l =
   let n = List.length l in
   let jobs = match jobs with Some j -> max 1 j | None -> default_jobs () in
   let jobs = min jobs n in
-  if jobs <= 1 || n <= 1 || not (Domain.is_main_domain ()) then map_seq f l
+  if
+    jobs <= 1 || n <= 1
+    || (not (Domain.is_main_domain ()))
+    || Relax_obs.Tracer.Ambient.active ()
+  then map_seq f l
   else begin
     let inputs = Array.of_list l in
     let results = Array.make n None in
@@ -189,7 +192,7 @@ let map ?jobs f l =
     Condition.broadcast pool.wake;
     Mutex.unlock pool.lock;
     (* the caller is worker 0 *)
-    let ran_here = drain b in
+    drain b;
     Mutex.lock b.done_;
     while Atomic.get b.left > 0 do
       Condition.wait b.all_done b.done_
@@ -198,22 +201,6 @@ let map ?jobs f l =
     Mutex.lock pool.lock;
     pool.current <- None;
     Mutex.unlock pool.lock;
-    let module A = Relax_obs.Tracer.Ambient in
-    if A.active () then begin
-      (* Work distribution across workers is a race, so per-domain
-         tallies appear only in profiling traces — never on a goldened
-         code path.  With parked anonymous workers we report only the
-         caller's share. *)
-      A.instant "pool/map"
-        ~attrs:
-          [ Relax_obs.Attr.int "jobs" jobs; Relax_obs.Attr.int "tasks" n ];
-      A.instant "pool/domain"
-        ~attrs:
-          [
-            Relax_obs.Attr.int "domain" 0;
-            Relax_obs.Attr.int "tasks" ran_here;
-          ]
-    end;
     (* surface the first failure in input order *)
     Array.to_list results
     |> List.map (function

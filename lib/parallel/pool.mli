@@ -8,7 +8,15 @@
 
     Nested calls — [map] invoked from inside a worker domain — degrade to
     a sequential [List.map], so parallel checks may freely call parallel
-    estimators. *)
+    estimators.
+
+    So does a call made while the calling domain has an ambient tracer
+    ({!Relax_obs.Tracer.Ambient.active}): the ambient tracer is
+    per-domain, so tasks on pool workers would record nothing.  A traced
+    call therefore records every task's events, in input order, exactly
+    as at [jobs = 1].  Callers that want parallelism under a trace run
+    the fan-out inside {!Relax_obs.Tracer.Ambient.without} and record
+    the results afterwards (as the claim engine does). *)
 
 (** Name of the environment variable consulted for the default degree of
     parallelism ["RLX_JOBS"]. *)

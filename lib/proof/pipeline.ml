@@ -10,9 +10,9 @@ open Relax_core
    envelope weight, at any depth — strictly subsuming the depth-bounded
    check, since a depth-D history carries at most D weight and the
    envelope budget never drops below the depth.  Any synthesis or
-   certification failure falls back to the bounded enumeration of
-   {!Relax_core.Language}, whose verdict (and witness) is exactly the
-   legacy one. *)
+   certification failure falls back to the bounded product search of
+   {!Relax_core.Language}, whose verdict and witness are the
+   depth-bounded ones. *)
 
 type method_ =
   | Proved_simulation of { enqs : int; relation : int; obligations : int }

@@ -11,8 +11,9 @@ open Relax_core
     most [enqs] envelope weight, at {e any} depth — strictly subsuming
     the depth-bounded verdict, because the envelope budget never drops
     below [depth].  Any synthesis or certification failure falls back
-    to the bounded enumeration of {!Relax_core.Language}, reproducing
-    the legacy verdict and witness exactly.
+    to the bounded product search {!Relax_core.Language.included}, whose
+    verdict and first counterexample history are the depth-bounded
+    ones.
 
     Every entry point is deterministic: synthesis is a breadth-first
     saturation in the caller's alphabet order, with no randomness. *)
@@ -23,7 +24,8 @@ type method_ =
   | Proved_simulation of { enqs : int; relation : int; obligations : int }
       (** certified forward simulation: valid at any depth for
           histories of envelope weight [<= enqs] *)
-  | Bounded of { depth : int }  (** depth-bounded enumeration *)
+  | Bounded of { depth : int }
+      (** the depth-bounded product search of {!Relax_core.Language} *)
 
 val pp_method : method_ Fmt.t
 
@@ -68,10 +70,11 @@ val equivalent :
   (unit, Language.counterexample) result * method_
 
 (** Strict inclusion: the inclusion direction goes through the
-    pipeline; the strictness witness is reconstructed by bounded
-    enumeration — a concrete separating history is itself an absolute
-    proof of non-inclusion, so a simulated inclusion plus a witness is
-    a genuinely proved strict inclusion. *)
+    pipeline; the strictness witness is the counterexample of the
+    bounded {!Relax_core.Language.included} in the reverse direction —
+    a concrete separating history is itself an absolute proof of
+    non-inclusion, so a simulated inclusion plus a witness is a
+    genuinely proved strict inclusion. *)
 val strictly_included :
   ?strategy:Strategy.t ->
   ?enqs:int ->

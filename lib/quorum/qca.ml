@@ -57,31 +57,20 @@ let spec_with_eta ?hash ~init ~step ~pre ~post ~equal ~name () =
     hash;
   }
 
-let accepts_next spec rel (h : History.t) (p : Op.t) =
-  let i = Op.invocation p in
-  List.exists
-    (fun g ->
-      let before = spec.eval g and after = spec.eval (History.append g p) in
-      List.exists
-        (fun s ->
-          spec.pre s i
-          && List.exists (fun s' -> spec.post s p s') after)
-        before)
-    (View.views rel h i)
-
 (* The memoizing QCA automaton.
 
-   The naive [accepts_next] above regenerates and re-filters all 2^|H|
-   subsets of H on every step.  The automaton below instead maintains, per
-   accepted history, the list of its Q-closed position sets, extended
-   incrementally: a subset of [H . p] is Q-closed iff it is a Q-closed
-   subset of [H], or it is [G ∪ {|H|}] for a Q-closed [G] of [H] that
-   contains every earlier position related to [inv(p)].  The Q-views of
-   [H] for [i] are then exactly the Q-closed sets containing [i]'s
-   required positions (a closed superset of the required positions always
-   contains their Q-closure).  Evaluations of view histories — shared
-   massively between steps and between inclusion directions — are
-   memoized by history.
+   Read literally, the definition regenerates and re-filters all 2^|H|
+   subsets of H on every step (the Q-views of [View.views]; the test
+   suite keeps that reading as its reference).  The automaton below
+   instead maintains, per accepted history, the list of its Q-closed
+   position sets, extended incrementally: a subset of [H . p] is
+   Q-closed iff it is a Q-closed subset of [H], or it is [G ∪ {|H|}] for
+   a Q-closed [G] of [H] that contains every earlier position related to
+   [inv(p)].  The Q-views of [H] for [i] are then exactly the Q-closed
+   sets containing [i]'s required positions (a closed superset of the
+   required positions always contains their Q-closure).  Evaluations of
+   view histories — shared massively between steps and between inclusion
+   directions — are memoized by history.
 
    The caches are private to the returned automaton value, so the value
    must not be shared across domains; every checker in this repository
@@ -140,7 +129,7 @@ let automaton ?name spec rel : History.t Automaton.t =
       History.Tbl.replace closed_cache h cs;
       cs
   in
-  let accepts_next_cached h p =
+  let accepts h p =
     let i = Op.invocation p in
     let arr = Array.of_list (History.to_list h) in
     let req = View.required_positions rel arr i in
@@ -157,7 +146,7 @@ let automaton ?name spec rel : History.t Automaton.t =
   in
   Automaton.make ~name ~init:History.empty ~equal:History.equal
     ~hash:History.hash ~pp_state:History.pp (fun h p ->
-      if accepts_next_cached h p then begin
+      if accepts h p then begin
         let h' = History.append h p in
         if not (History.Tbl.mem closed_cache h') then
           History.Tbl.replace closed_cache h' (extend_closed h p);

@@ -40,13 +40,11 @@ val spec_with_eta :
   unit ->
   'v spec
 
-(** [accepts_next spec rel h p] decides whether [QCA] extends [h] by [p].
-    The reference implementation: regenerates every Q-view of [h]. *)
-val accepts_next : 'v spec -> Relation.t -> History.t -> Op.t -> bool
-
 (** The history-state quorum consensus automaton: its state is the
     accepted history, and per-history caches make repeated walks cheap.
-    Works for any spec; exponential per step in the depth bound. *)
+    Works for any spec; exponential per step in the depth bound.  The
+    test suite checks it, and {!automaton_views}, against the literal
+    definition above evaluated over every Q-view of the history. *)
 val automaton : ?name:string -> 'v spec -> Relation.t -> History.t Automaton.t
 
 (** The state of {!automaton_views}: for each subset [S] of the

@@ -510,6 +510,27 @@ let conformance_tests =
               report.Scenarios.reports
         in
         Alcotest.(check (list string)) "digests" (sweep 1) (sweep 4));
+    Alcotest.test_case "a traced sweep records every run at any jobs" `Slow
+      (fun () ->
+        (* the ambient tracer is per-domain: runs fanned out to pool
+           workers would record nothing, so a traced sweep stays on the
+           calling domain *)
+        let traced jobs =
+          let tracer = Relax_obs.Tracer.create () in
+          (match
+             Relax_obs.Tracer.Ambient.with_tracer tracer (fun () ->
+                 Scenarios.sweep ~jobs ~shrink:false ~runs:8 ~seed:42
+                   ~nemeses:Scenarios.default_nemeses ~points:Scenarios.names
+                   ())
+           with
+          | Error e -> Alcotest.fail e
+          | Ok _ -> ());
+          Relax_obs.Export.to_string Relax_obs.Export.Jsonl
+            (Relax_obs.Tracer.events tracer)
+        in
+        let one = traced 1 in
+        Alcotest.(check bool) "events recorded" true (String.length one > 0);
+        Alcotest.(check string) "identical events" one (traced 2));
     Alcotest.test_case "recover point performs recoveries and conforms"
       `Slow (fun () ->
         (* the durable scenario must actually exercise the journal path

@@ -420,13 +420,6 @@ let relaxation_tests =
         match Relaxation.phi l Cset.empty with
         | exception Invalid_argument _ -> ()
         | _ -> Alcotest.fail "expected Invalid_argument");
-    Alcotest.test_case "lattice shape of the counter lattice" `Quick
-      (fun () ->
-        Alcotest.(check int)
-          "no violations" 0
-          (List.length
-             (Relaxation.check_lattice_shape counter_lattice ~alphabet
-                ~depth:4)));
   ]
 
 (* ------------------------------------------------------------------ *)

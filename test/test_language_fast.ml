@@ -2,11 +2,54 @@ open Relax_core
 open Relax_objects
 open Relax_quorum
 
-(* Cross-validation of the memoized product-state language checker against
-   the reference history-enumeration implementation: for every automaton
-   pair exercised by `rlx check all`, at depths 1..5, the two must agree
-   on inclusion (both directions), equivalence, witness histories and the
-   full Section-5 classification. *)
+(* Cross-validation of the product-search language checker against a
+   reference history enumeration: for every automaton pair exercised by
+   `rlx check all`, at depths 1..5, the two must agree on inclusion (both
+   directions), equivalence, witness histories and the full Section-5
+   classification. *)
+
+(* The reference oracle: L(a) ⊆ L(b) by history enumeration.  Every
+   accepted history of [a] is replayed through [b], level by level in
+   alphabet order, and the first one [b] rejects is the witness.  Prefix
+   closure lets a history stop extending as soon as [a] rejects it.  It
+   visits one node per accepted history, so it is exponential where the
+   product search is not — affordable at these depths only. *)
+let included_enum a b ~alphabet ~depth =
+  let exception Fail of History.t in
+  let extend (h, astates, bstates) =
+    List.filter_map
+      (fun p ->
+        match Automaton.step_set a astates p with
+        | [] -> None
+        | astates -> (
+          let h = History.append h p in
+          match Automaton.step_set b bstates p with
+          | [] -> raise (Fail h)
+          | bstates -> Some (h, astates, bstates)))
+      alphabet
+  in
+  let rec go level remaining =
+    if remaining > 0 then
+      match List.concat_map extend level with
+      | [] -> ()
+      | next -> go next (remaining - 1)
+  in
+  match
+    go [ (History.empty, [ Automaton.init a ], [ Automaton.init b ]) ] depth
+  with
+  | () -> Ok ()
+  | exception Fail history ->
+    Error
+      {
+        Language.history;
+        holds_in = Automaton.name a;
+        fails_in = Automaton.name b;
+      }
+
+let equivalent_enum a b ~alphabet ~depth =
+  match included_enum a b ~alphabet ~depth with
+  | Error c -> Error c
+  | Ok () -> included_enum b a ~alphabet ~depth
 
 let queue_alphabet = Queue_ops.alphabet (Queue_ops.universe 2)
 
@@ -20,7 +63,7 @@ let check_agreement name alphabet a b ~depth =
   let ctx fmt = Fmt.str ("%s depth %d: " ^^ fmt) name depth in
   let compare_included dir x y =
     let fast = Language.included x y ~alphabet ~depth
-    and slow = Language.included_enum x y ~alphabet ~depth in
+    and slow = included_enum x y ~alphabet ~depth in
     (match (fast, slow) with
     | Ok (), Ok () -> ()
     | Error cf, Error cs ->
@@ -35,7 +78,7 @@ let check_agreement name alphabet a b ~depth =
   let incl_ab = compare_included "a<=b" a b in
   let incl_ba = compare_included "b<=a" b a in
   let efast = Language.equivalent a b ~alphabet ~depth
-  and eslow = Language.equivalent_enum a b ~alphabet ~depth in
+  and eslow = equivalent_enum a b ~alphabet ~depth in
   Alcotest.(check bool)
     (ctx "equivalence") (Result.is_ok eslow) (Result.is_ok efast);
   let expected =
@@ -54,6 +97,12 @@ let pair ?(alphabet = queue_alphabet) name a b =
       for depth = 1 to 5 do
         check_agreement name alphabet a b ~depth
       done)
+
+(* [a] rebuilt without its state hash: the checker then interns its
+   states by [equal] alone, which must change nothing but the time. *)
+let unhashed a =
+  Automaton.make ~name:(Automaton.name a) ~init:(Automaton.init a)
+    ~equal:(Automaton.equal_state a) (Automaton.step a)
 
 let q1_q2 = Relation.union Instances.q1 Instances.q2
 let a1_a2 = Relation.union Instances.a1 Instances.a2
@@ -90,6 +139,10 @@ let pq_pairs =
     pair "QCA(PQ,{Q2},eta') vs DPQ" (pq_qca' Instances.q2) Dpq.automaton;
     pair "QCA(PQ,{Q2},eta') vs QCA(PQ,{Q2},eta)" (pq_qca' Instances.q2)
       (pq_qca Instances.q2);
+    pair "unhashed PQ vs unhashed MPQ" (unhashed Pqueue.automaton)
+      (unhashed Mpq.automaton);
+    pair "unhashed MPQ vs QCA(PQ,{Q1},eta)" (unhashed Mpq.automaton)
+      (pq_qca Instances.q1);
   ]
 
 let fifo_pairs =
@@ -116,6 +169,9 @@ let collapse_pairs =
       (Semiqueue.automaton 2);
     pair "Stuttering_1 vs Stuttering_2" (Stuttering.automaton 1)
       (Stuttering.automaton 2);
+    pair "unhashed Semiqueue_2 vs Semiqueue_1"
+      (unhashed (Semiqueue.automaton 2))
+      (Semiqueue.automaton 1);
   ]
 
 let account_pairs =
@@ -128,11 +184,43 @@ let account_pairs =
       (account_qca Instances.a1) Account.automaton;
   ]
 
+(* QCA(PQ, Q, eta) read literally off Section 3.2: H . p is accepted
+   when some Q-view G of H for inv(p) evaluates to a state meeting p's
+   precondition, with eta (G . p) meeting its postcondition.  Every step
+   regenerates all Q-views of the history — exponential, and the
+   reference both QCA constructions in lib/quorum are checked against. *)
+let accepts_next rel h p =
+  let i = Op.invocation p in
+  List.exists
+    (fun g ->
+      let s = Eta.eta g in
+      Instances.pq_pre s i && Instances.pq_post s p (Eta.eta (History.append g p)))
+    (View.views rel h i)
+
+let literal_pq_qca rel =
+  Automaton.make
+    ~name:(Fmt.str "literal QCA(PQ,%s,eta)" (Relation.name rel))
+    ~init:History.empty ~equal:History.equal ~hash:History.hash (fun h p ->
+      if accepts_next rel h p then [ History.append h p ] else [])
+
 (* The views abstraction itself: the views-state automaton must be
    language-equal to the history-state automaton it quotients, for every
-   spec kind (eta, eta', delta*, account) and several relations. *)
+   spec kind (eta, eta', delta*, account) and several relations; and both
+   must equal the literal definition at every PQ lattice point. *)
 let views_pairs =
   let hist spec rel = Qca.automaton spec rel in
+  let literal rel =
+    let name = Relation.name rel in
+    [
+      pair
+        (Fmt.str "literal Q-views vs history-state: QCA(PQ,%s,eta)" name)
+        (literal_pq_qca rel)
+        (hist Instances.pq_spec_eta rel);
+      pair
+        (Fmt.str "literal Q-views vs views: QCA(PQ,%s,eta)" name)
+        (literal_pq_qca rel) (pq_qca rel);
+    ]
+  in
   [
     pair "views vs history-state: QCA(PQ,{Q1,Q2},eta)" (pq_qca q1_q2)
       (hist Instances.pq_spec_eta q1_q2);
@@ -152,17 +240,23 @@ let views_pairs =
       (account_qca Instances.a2)
       (hist Instances.account_spec Instances.a2);
   ]
+  @ List.concat_map literal
+      [ Relation.empty; Instances.q1; Instances.q2; q1_q2 ]
 
-(* The memoized checker decides inclusion on the product state-set graph
-   and only falls back to enumeration to reconstruct a witness; that
-   witness — and its rendering — must be byte-identical to what the pure
-   enumeration checker reports. *)
+(* The product search reports its witness from its own frontier: the
+   rendered counterexample must be byte-identical to the enumeration's,
+   and a failing inclusion must enumerate no histories on the side. *)
 let witness_pairs =
   let witness name a b =
     Alcotest.test_case name `Quick (fun () ->
         let depth = 5 in
-        let fast = Language.included a b ~alphabet:queue_alphabet ~depth
-        and slow = Language.included_enum a b ~alphabet:queue_alphabet ~depth in
+        let histories () = (Language.Stats.read ()).Language.Stats.histories in
+        let before = histories () in
+        let fast = Language.included a b ~alphabet:queue_alphabet ~depth in
+        Alcotest.(check int)
+          (name ^ ": no histories enumerated")
+          before (histories ());
+        let slow = included_enum a b ~alphabet:queue_alphabet ~depth in
         match (fast, slow) with
         | Error cf, Error cs ->
           Alcotest.(check string)

@@ -441,6 +441,106 @@ let coverage_tests =
           ]);
   ]
 
+(* The coverage document as a decoder over hostile input: arbitrary
+   point, strategy and fault-set strings read back exactly, and no byte
+   string — random, or a valid document with bytes overwritten or cut —
+   makes the reader raise. *)
+let coverage_fuzz_tests =
+  let qtest t = QCheck_alcotest.to_alcotest t in
+  let stats =
+    {
+      Search.executions = 3;
+      injections = 2;
+      candidates = 2;
+      vars = 4;
+      clauses = 5;
+      rounds = 1;
+      exhausted = true;
+    }
+  in
+  let trace =
+    {
+      Trace.point = "top";
+      nemeses = X.nemeses_tag;
+      config = X.default_config;
+      events = [];
+    }
+  in
+  let outcome (point, strategy, fault_set) =
+    {
+      X.point;
+      strategy;
+      stats;
+      violation =
+        Option.map
+          (fun fault_set -> { X.fault_set; trace; shrunk = trace; probes = 0 })
+          fault_set;
+    }
+  in
+  (* every byte value, with the ones the writer escapes and the reader
+     scans for over-represented *)
+  let byte =
+    QCheck.Gen.(
+      frequency
+        [
+          (3, char);
+          ( 2,
+            oneofl
+              [ '"'; '\\'; '\n'; '\r'; '\t'; '\001'; '\031'; '{'; '}'; '[';
+                ']'; ','; ':'; 'u' ] );
+        ])
+  in
+  let str = QCheck.Gen.(string_size ~gen:byte (0 -- 12)) in
+  let outcomes =
+    QCheck.Gen.(
+      list_size (1 -- 3) (triple str str (opt (list_size (0 -- 3) str))))
+  in
+  let doc os =
+    X.coverage_json ~budget:X.claim_budget ~wipe:false (List.map outcome os)
+  in
+  let reads s = match X.read_coverage s with Ok _ | Error _ -> true in
+  [
+    qtest
+      (QCheck.Test.make ~count:500
+         ~name:"arbitrary point, strategy and fault-set strings read back"
+         (QCheck.make ~print:doc outcomes) (fun os ->
+           match X.read_coverage (doc os) with
+           | Error _ -> false
+           | Ok r ->
+             List.length r.X.r_outcomes = List.length os
+             && List.for_all2
+                  (fun (point, strategy, fault_set) (o : X.read_outcome) ->
+                    o.X.r_point = point && o.X.r_strategy = strategy
+                    && o.X.r_fault_set = Option.value fault_set ~default:[]
+                    && o.X.r_violations = Bool.to_int (fault_set <> None))
+                  os r.X.r_outcomes));
+    qtest
+      (QCheck.Test.make ~count:1000 ~name:"arbitrary strings never raise"
+         QCheck.(string_gen byte)
+         reads);
+    qtest
+      (QCheck.Test.make ~count:1000
+         ~name:"byte-mutated and truncated documents never raise"
+         QCheck.(
+           make
+             Gen.(
+               triple outcomes
+                 (list_size (1 -- 6) (pair nat byte))
+                 (opt nat)))
+         (fun (os, edits, cut) ->
+           let b = Bytes.of_string (doc os) in
+           List.iter
+             (fun (i, c) -> Bytes.set b (i mod Bytes.length b) c)
+             edits;
+           let s = Bytes.to_string b in
+           let s =
+             match cut with
+             | Some k -> String.sub s 0 (k mod (String.length s + 1))
+             | None -> s
+           in
+           reads s));
+  ]
+
 (* ------------------------------------------------------------------ *)
 (* The planted volatile-logs hunt                                      *)
 (* ------------------------------------------------------------------ *)
@@ -532,6 +632,6 @@ let () =
       ("search", search_tests);
       ("support", support_tests);
       ("duplication", dup_tests);
-      ("coverage", coverage_tests);
+      ("coverage", coverage_tests @ coverage_fuzz_tests);
       ("hunt", hunt_tests);
     ]
