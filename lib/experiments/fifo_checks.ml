@@ -29,9 +29,10 @@ let claims ?(alphabet = Queue_ops.alphabet (Queue_ops.universe 2)) ?(depth = 5)
     ?strategy () =
   let qca rel () = Qca.automaton_views ~alphabet Instances.fifo_spec_eta rel in
   (* The FIFO QCA points have by far the largest envelope-saturated state
-     spaces in the catalog: a certified simulation costs several seconds
-     each where bounded enumeration costs a fraction of one, so under
-     Auto they stay on the enumeration fallback. *)
+     spaces in the catalog: at depth 8 on one domain of a 2-vCPU VM, a
+     certified simulation costs 20–800 ms per point where bounded
+     enumeration costs 15–50 ms, so under Auto they stay on the
+     enumeration fallback. *)
   let point ~id name mk =
     Pq_checks.equivalence_claim ~id
       ?strategy:(Relax_proof.Strategy.heavy strategy)

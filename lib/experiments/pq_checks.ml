@@ -140,10 +140,7 @@ let claims ?(alphabet = Queue_ops.alphabet (Queue_ops.universe 2)) ?(depth = 5)
       ~paper:"Theorem 4 (proof lemma)"
       "Theorem 4 lemma: {Q1} IS a serial dependency relation for MPQ"
       (sd Mpq.automaton Instances.q1);
-    (* the delta*-based QCA saturates a far larger envelope than its
-       depth-4 search, so Auto keeps it on enumeration (Strategy.heavy) *)
-    equivalence_claim ~id:"pq/theorem4-lemma-qca"
-      ?strategy:(Relax_proof.Strategy.heavy strategy)
+    equivalence_claim ~id:"pq/theorem4-lemma-qca" ?strategy
       ~paper:"Theorem 4 (proof lemma)"
       "hence L(QCA(MPQ,{Q1})) = L(MPQ) (delta*-based QCA)"
       (fun () ->

@@ -26,7 +26,9 @@ let of_string = function
 let pp ppf s = Fmt.string ppf (to_string s)
 
 (* A few claims saturate envelopes orders of magnitude larger than their
-   bounded search (the FIFO QCA points, the deep stuttering collapses);
-   under [Auto] those stay on enumeration, while an explicit
-   [Simulation] request still attempts the synthesis. *)
+   bounded search.  At depth 8 on one domain of a 2-vCPU VM, simulating a
+   FIFO QCA point costs 20–800 ms against 15–50 ms of enumeration, and a
+   deep stuttering collapse 150–360 ms against 6–25 ms.  Under [Auto]
+   those stay on enumeration, while an explicit [Simulation] request
+   still attempts the synthesis. *)
 let heavy = function Some Auto -> Some Bounded_enum | s -> s

@@ -189,10 +189,67 @@ let automaton ?name spec rel : History.t Automaton.t =
    memoized pair checker in [Language] gets quotient-automaton leverage
    instead of replaying every accepted history.
 
+   The automaton hash-conses that quotient at three levels, each value
+   named by a dense id: an evaluation (a state list, compared as a set),
+   an entry (a sorted, duplicate-free list of evaluation ids — one W(H,
+   S)), and a map (an array of entry ids, one per invocation mask).  The
+   map's id is the state, so state equality and hashing are integer
+   work.  Each evaluation and each entry is extended by, and tested
+   against, an operation once; each pair of entries is united once; and
+   each state is stepped by an operation once, so every later
+   exploration of the same automaton value (the other direction of an
+   equivalence, the language census) replays table lookups.  Ids are
+   handed out in the order explorations first reach their values, so
+   they mean nothing outside the automaton value that assigned them, and
+   no checker result depends on them.  As for the history-state
+   automaton, the tables are private to the returned value, which must
+   not be shared across domains.
+
    The invocation universe must cover every operation the automaton will
    ever be stepped with; stepping outside it raises. *)
 
-type 'v views_state = 'v list list array
+type 'v views_state = int
+
+(* An evaluation or an entry stepped by one operation: the id of its
+   extension, and whether the operation's pre- and postconditions hold
+   from it (from some evaluation of it, for an entry). *)
+type moved = { after : int; accepts : bool }
+
+(* Everything the views automaton memoizes about one operation. *)
+type op_memo = {
+  bit : int;  (* the mask of the operation's invocation class *)
+  relates : int;  (* the mask of the classes related to the operation *)
+  evals : (int, moved) Hashtbl.t;  (* evaluation id -> its move *)
+  entries : (int, moved) Hashtbl.t;  (* entry id -> its move *)
+  next : (int, int list) Hashtbl.t;  (* state id -> its successors *)
+}
+
+module Op_tbl = Hashtbl.Make (struct
+  type t = Op.t
+
+  let equal = Op.equal
+  let hash = Op.hash
+end)
+
+(* Dense ids for the values [hash] and [equal] tell apart, and the
+   representative value of each id. *)
+let interner hash equal =
+  let ids = Language.Intern.create hash equal and values = Hashtbl.create 256 in
+  let id v =
+    let id = Language.Intern.id ids v in
+    if not (Hashtbl.mem values id) then Hashtbl.add values id v;
+    id
+  in
+  (id, Hashtbl.find values)
+
+(* [memo tbl key f] is [f ()], computed once per [key]. *)
+let memo tbl key f =
+  match Hashtbl.find_opt tbl key with
+  | Some v -> v
+  | None ->
+    let v = f () in
+    Hashtbl.add tbl key v;
+    v
 
 let automaton_views ?name ~(alphabet : Op.t list) spec rel :
     'v views_state Automaton.t =
@@ -224,78 +281,106 @@ let automaton_views ?name ~(alphabet : Op.t list) spec rel :
     in
     go 0
   in
-  (* evaluations are compared as sets: delta* may list states of a view
-     in any order *)
-  let vlist_equal va vb =
-    List.for_all (fun a -> List.exists (spec.equal a) vb) va
-    && List.for_all (fun b -> List.exists (spec.equal b) va) vb
+  (* Evaluations are compared as sets — delta* may list the states of a
+     view in any order — so they are interned without duplicates, under
+     a hash that ignores order; a spec without a hash interns into one
+     bucket. *)
+  let eval_id, eval_of =
+    interner
+      (match spec.hash with
+      | None -> fun _ -> 0
+      | Some h -> List.fold_left (fun acc v -> acc + (h v land max_int)) 0)
+      (fun va vb ->
+        List.compare_lengths va vb = 0
+        && List.for_all (fun a -> List.exists (spec.equal a) vb) va)
   in
-  let add_vlist v w = if List.exists (vlist_equal v) w then w else v :: w in
-  let entry_equal ea eb =
-    List.for_all (fun v -> List.exists (vlist_equal v) eb) ea
-    && List.for_all (fun v -> List.exists (vlist_equal v) ea) eb
+  let eval_id vs =
+    eval_id
+      (List.fold_left
+         (fun acc v -> if List.exists (spec.equal v) acc then acc else v :: acc)
+         [] vs)
   in
-  let state_equal (wa : 'v views_state) (wb : 'v views_state) =
-    let rec go s = s >= size || (entry_equal wa.(s) wb.(s) && go (s + 1)) in
-    go 0
+  let entry_id, entry_of =
+    interner
+      (List.fold_left (fun h e -> (h * 31) + e) 17)
+      (List.equal Int.equal)
   in
-  let hash =
-    match spec.hash with
-    | None -> None
-    | Some hv ->
-      (* order-independent within entries, positional across them *)
-      Some
-        (fun (w : 'v views_state) ->
-          let h = ref 7 in
-          for s = 0 to size - 1 do
-            let eh =
-              List.fold_left
-                (fun acc v -> acc + List.fold_left (fun a x -> a + hv x) 17 v)
-                0 w.(s)
-            in
-            h := (!h * 131) + eh
-          done;
-          !h)
+  let entry_id es = entry_id (List.sort_uniq Int.compare es) in
+  let map_id, map_of =
+    interner
+      (Array.fold_left (fun h x -> (h * 131) + x) 7)
+      (Array.for_all2 Int.equal)
+  in
+  let memos = Op_tbl.create 16 in
+  let memo_of p =
+    match Op_tbl.find_opt memos p with
+    | Some m -> m
+    | None ->
+      let relates = ref 0 in
+      Array.iteri
+        (fun j i ->
+          if Relation.related rel i p then relates := !relates lor (1 lsl j))
+        invs;
+      let m =
+        {
+          bit = 1 lsl inv_index (Op.invocation p);
+          relates = !relates;
+          evals = Hashtbl.create 64;
+          entries = Hashtbl.create 64;
+          next = Hashtbl.create 256;
+        }
+      in
+      Op_tbl.add memos p m;
+      m
+  in
+  let move_eval m p e =
+    memo m.evals e (fun () ->
+        let i = Op.invocation p in
+        let before = eval_of e in
+        let after = extend before p in
+        {
+          after = eval_id after;
+          accepts =
+            List.exists
+              (fun s ->
+                spec.pre s i && List.exists (fun s' -> spec.post s p s') after)
+              before;
+        })
+  in
+  let move_entry m p x =
+    memo m.entries x (fun () ->
+        let moves = List.map (move_eval m p) (entry_of x) in
+        {
+          after = entry_id (List.map (fun mv -> mv.after) moves);
+          accepts = List.exists (fun mv -> mv.accepts) moves;
+        })
+  in
+  let unions = Hashtbl.create 256 in
+  let union x y =
+    memo unions (x, y) (fun () -> entry_id (entry_of x @ entry_of y))
   in
   let name =
     match name with
     | Some n -> n
     | None -> Fmt.str "QCA(%s,%s)" spec.spec_name (Relation.name rel)
   in
-  let init = Array.make size [ spec.eval History.empty ] in
-  let step (w : 'v views_state) p =
-    let i = Op.invocation p in
-    let pi = inv_index i in
-    let accepted =
-      List.exists
-        (fun before ->
-          let after = extend before p in
-          List.exists
-            (fun s ->
-              spec.pre s i && List.exists (fun s' -> spec.post s p s') after)
-            before)
-        w.(1 lsl pi)
-    in
-    if not accepted then []
-    else
-      [
-        Array.init size (fun mask ->
-            let extended =
-              List.fold_left
-                (fun acc v -> add_vlist (extend v p) acc)
-                []
-                w.(mask lor (1 lsl pi))
-            in
-            let s_relates =
-              let rec any j =
-                j < k
-                && (((mask lsr j) land 1 = 1 && Relation.related rel invs.(j) p)
-                   || any (j + 1))
-              in
-              any 0
-            in
-            if s_relates then extended
-            else List.fold_left (fun acc v -> add_vlist v acc) w.(mask) extended);
-      ]
+  let init =
+    map_id (Array.make size (entry_id [ eval_id (spec.eval History.empty) ]))
   in
-  Automaton.make ~name ~init ~equal:state_equal ?hash step
+  let step w p =
+    let m = memo_of p in
+    memo m.next w (fun () ->
+        let entries = map_of w in
+        if not (move_entry m p entries.(m.bit)).accepts then []
+        else
+          [
+            map_id
+              (Array.init size (fun mask ->
+                   let extended =
+                     (move_entry m p entries.(mask lor m.bit)).after
+                   in
+                   if mask land m.relates <> 0 then extended
+                   else union entries.(mask) extended));
+          ])
+  in
+  Automaton.make ~name ~init ~equal:Int.equal ~hash:Fun.id step

@@ -47,20 +47,31 @@ val spec_with_eta :
     definition above evaluated over every Q-view of the history. *)
 val automaton : ?name:string -> 'v spec -> Relation.t -> History.t Automaton.t
 
-(** The state of {!automaton_views}: for each subset [S] of the
-    alphabet's invocation classes, the distinct evaluations of the
-    Q-closed subhistories containing every position the invocations of
-    [S] are required to observe. *)
-type 'v views_state = 'v list list array
+(** The state of {!automaton_views}: a dense id naming one view map.  The
+    map sends each subset [S] of the alphabet's invocation classes to the
+    distinct evaluations of the Q-closed subhistories containing every
+    position the invocations of [S] are required to observe.  Two states
+    of one automaton value are equal iff their maps are; an id means
+    nothing to any other automaton value. *)
+type 'v views_state
 
 (** The views-abstracted quorum consensus automaton — same bounded
     language as {!automaton}, but the state forgets the history and keeps
     only view evaluations, so distinct histories with the same
     evaluations collapse to one state and the memoized checker in
-    {!Language} explores a quotient automaton.  Requires a spec with an
-    incremental evaluation ([spec_with_eta] or [spec_of_automaton]);
-    raises [Invalid_argument] otherwise, or when stepped with an
-    operation whose invocation is outside [alphabet]. *)
+    {!Language} explores a quotient automaton.
+
+    Evaluations, the evaluation sets of a map and the maps themselves
+    are interned to dense ids, and each of them is stepped by an
+    operation at most once, so repeated explorations of one automaton
+    value — both directions of an equivalence, then its language size —
+    replay memoized steps.  The
+    caches are private to the returned value, which therefore must not
+    be shared across domains: build it inside the task that uses it.
+
+    Requires a spec with an incremental evaluation ([spec_with_eta] or
+    [spec_of_automaton]); raises [Invalid_argument] otherwise, or when
+    stepped with an operation whose invocation is outside [alphabet]. *)
 val automaton_views :
   ?name:string ->
   alphabet:Op.t list ->

@@ -59,7 +59,7 @@ let classification_tag = function
   | Language.Right_below_left _ -> "right-below-left"
   | Language.Incomparable _ -> "incomparable"
 
-let check_agreement name alphabet a b ~depth =
+let check_agreement ?(equal = false) name alphabet a b ~depth =
   let ctx fmt = Fmt.str ("%s depth %d: " ^^ fmt) name depth in
   let compare_included dir x y =
     let fast = Language.included x y ~alphabet ~depth
@@ -90,12 +90,16 @@ let check_agreement name alphabet a b ~depth =
   in
   Alcotest.(check string)
     (ctx "classification") expected
-    (classification_tag (Language.classify a b ~alphabet ~depth))
+    (classification_tag (Language.classify a b ~alphabet ~depth));
+  if equal then Alcotest.(check string) (ctx "languages") "equal" expected
 
-let pair ?(alphabet = queue_alphabet) name a b =
+(* The checker and the reference enumeration agree on [a] and [b] at
+   depths 1..5; with [~equal:true] the two languages must also be equal
+   at each depth. *)
+let pair ?(alphabet = queue_alphabet) ?equal name a b =
   Alcotest.test_case name `Quick (fun () ->
       for depth = 1 to 5 do
-        check_agreement name alphabet a b ~depth
+        check_agreement ?equal name alphabet a b ~depth
       done)
 
 (* [a] rebuilt without its state hash: the checker then interns its
@@ -126,43 +130,112 @@ let account_qca rel =
 
 let pq_pairs =
   [
-    pair "QCA(PQ,{Q1,Q2},eta) vs PQ" (pq_qca q1_q2) Pqueue.automaton;
-    pair "QCA(PQ,{Q1},eta) vs MPQ" (pq_qca Instances.q1) Mpq.automaton;
-    pair "QCA(PQ,{Q2},eta) vs OPQ" (pq_qca Instances.q2) Opq.automaton;
-    pair "QCA(PQ,{},eta) vs DegenPQ" (pq_qca Relation.empty) Degen.automaton;
-    pair "QCA(MPQ,{Q1},delta*) vs MPQ"
+    pair ~equal:true "QCA(PQ,{Q1,Q2},eta) vs PQ" (pq_qca q1_q2) Pqueue.automaton;
+    pair ~equal:true "QCA(PQ,{Q1},eta) vs MPQ" (pq_qca Instances.q1) Mpq.automaton;
+    pair ~equal:true "QCA(PQ,{Q2},eta) vs OPQ" (pq_qca Instances.q2) Opq.automaton;
+    pair ~equal:true "QCA(PQ,{},eta) vs DegenPQ" (pq_qca Relation.empty) Degen.automaton;
+    pair ~equal:true "QCA(MPQ,{Q1},delta*) vs MPQ"
       (Qca.automaton_views ~alphabet:queue_alphabet
          (Qca.spec_of_automaton Mpq.automaton)
          Instances.q1)
       Mpq.automaton;
-    pair "QCA(PQ,{Q1,Q2},eta') vs PQ" (pq_qca' q1_q2) Pqueue.automaton;
-    pair "QCA(PQ,{Q2},eta') vs DPQ" (pq_qca' Instances.q2) Dpq.automaton;
+    pair ~equal:true "QCA(PQ,{Q1,Q2},eta') vs PQ" (pq_qca' q1_q2) Pqueue.automaton;
+    pair ~equal:true "QCA(PQ,{Q2},eta') vs DPQ" (pq_qca' Instances.q2) Dpq.automaton;
     pair "QCA(PQ,{Q2},eta') vs QCA(PQ,{Q2},eta)" (pq_qca' Instances.q2)
       (pq_qca Instances.q2);
     pair "unhashed PQ vs unhashed MPQ" (unhashed Pqueue.automaton)
       (unhashed Mpq.automaton);
-    pair "unhashed MPQ vs QCA(PQ,{Q1},eta)" (unhashed Mpq.automaton)
+    pair ~equal:true "unhashed MPQ vs QCA(PQ,{Q1},eta)" (unhashed Mpq.automaton)
       (pq_qca Instances.q1);
   ]
 
+(* The points of the queue lattices, each relation with its label. *)
+let queue_points =
+  [
+    ("{Q1,Q2}", q1_q2);
+    ("{Q1}", Instances.q1);
+    ("{Q2}", Instances.q2);
+    ("{}", Relation.empty);
+  ]
+
+(* FIFO/eta without its state hash: evaluations then intern into one
+   bucket, told apart by [equal] alone. *)
+let fifo_spec_unhashed =
+  Qca.spec_with_eta ~init:[] ~step:Eta.eta_fifo_step ~pre:Instances.fifo_pre
+    ~post:Instances.fifo_post ~equal:Fifo.equal ~name:"FIFO/eta" ()
+
+(* The views automaton numbers evaluations and states in the order
+   explorations first reach them, and memoizes every step.  A value
+   warmed by earlier explorations must therefore give exactly the
+   verdicts, witnesses and checker counters of a fresh one: each
+   exploration runs twice on one value and is compared with a fresh
+   value's run. *)
+let warm_reuse label rel behaviour =
+  Alcotest.test_case
+    (Fmt.str "QCA(FIFO,%s,eta) warm reuse at depth 6" label)
+    `Quick (fun () ->
+      let alphabet = queue_alphabet and depth = 6 in
+      let run f =
+        Language.Stats.reset ();
+        let r = f () in
+        let s = Language.Stats.read () in
+        Fmt.str "%s; %d histories, %d pairs, %d memo hits" r
+          s.Language.Stats.histories s.Language.Stats.visited
+          s.Language.Stats.memo_hits
+      in
+      let verdict = function
+        | Ok () -> "included"
+        | Error c -> Fmt.str "%a" Language.pp_counterexample c
+      in
+      let explore a =
+        let both b =
+          [
+            run (fun () -> verdict (Language.included a b ~alphabet ~depth));
+            run (fun () -> verdict (Language.included b a ~alphabet ~depth));
+          ]
+        in
+        both behaviour @ both Fifo.automaton
+        @ [ run (fun () -> string_of_int (Language.size a ~alphabet ~depth)) ]
+      in
+      let fresh = explore (fifo_qca rel) in
+      let a = fifo_qca rel in
+      for pass = 1 to 2 do
+        Alcotest.(check (list string))
+          (Fmt.str "pass %d on one value" pass)
+          fresh (explore a)
+      done)
+
 let fifo_pairs =
   [
-    pair "QCA(FIFO,{Q1,Q2},eta) vs FIFO" (fifo_qca q1_q2) Fifo.automaton;
-    pair "QCA(FIFO,{Q1},eta) vs RFQ" (fifo_qca Instances.q1) Rfq.automaton;
-    pair "QCA(FIFO,{Q2},eta) vs Bag" (fifo_qca Instances.q2) Bag.automaton;
-    pair "QCA(FIFO,{},eta) vs DegenPQ" (fifo_qca Relation.empty)
+    pair ~equal:true "QCA(FIFO,{Q1,Q2},eta) vs FIFO" (fifo_qca q1_q2) Fifo.automaton;
+    pair ~equal:true "QCA(FIFO,{Q1},eta) vs RFQ" (fifo_qca Instances.q1) Rfq.automaton;
+    pair ~equal:true "QCA(FIFO,{Q2},eta) vs Bag" (fifo_qca Instances.q2) Bag.automaton;
+    pair ~equal:true "QCA(FIFO,{},eta) vs DegenPQ" (fifo_qca Relation.empty)
       Degen.automaton;
   ]
+  @ List.map
+      (fun (label, rel) ->
+        pair ~equal:true
+          (Fmt.str "QCA(FIFO,%s,eta) unhashed spec vs hashed" label)
+          (Qca.automaton_views ~alphabet:queue_alphabet fifo_spec_unhashed rel)
+          (fifo_qca rel))
+      queue_points
+  @ [
+      warm_reuse "{Q1,Q2}" q1_q2 Fifo.automaton;
+      warm_reuse "{Q1}" Instances.q1 Rfq.automaton;
+      warm_reuse "{Q2}" Instances.q2 Bag.automaton;
+      warm_reuse "{}" Relation.empty Degen.automaton;
+    ]
 
 let collapse_pairs =
   [
-    pair "Semiqueue_1 vs FIFO" (Semiqueue.automaton 1) Fifo.automaton;
-    pair "Stuttering_1 vs FIFO" (Stuttering.automaton 1) Fifo.automaton;
-    pair "SSqueue_{1,1} vs FIFO" (Ssqueue.automaton ~j:1 ~k:1) Fifo.automaton;
-    pair "SSqueue_{1,3} vs Semiqueue_3"
+    pair ~equal:true "Semiqueue_1 vs FIFO" (Semiqueue.automaton 1) Fifo.automaton;
+    pair ~equal:true "Stuttering_1 vs FIFO" (Stuttering.automaton 1) Fifo.automaton;
+    pair ~equal:true "SSqueue_{1,1} vs FIFO" (Ssqueue.automaton ~j:1 ~k:1) Fifo.automaton;
+    pair ~equal:true "SSqueue_{1,3} vs Semiqueue_3"
       (Ssqueue.automaton ~j:1 ~k:3)
       (Semiqueue.automaton 3);
-    pair "SSqueue_{3,1} vs Stuttering_3"
+    pair ~equal:true "SSqueue_{3,1} vs Stuttering_3"
       (Ssqueue.automaton ~j:3 ~k:1)
       (Stuttering.automaton 3);
     pair "Semiqueue_1 vs Semiqueue_2" (Semiqueue.automaton 1)
@@ -176,7 +249,8 @@ let collapse_pairs =
 
 let account_pairs =
   [
-    pair ~alphabet:account_alphabet "QCA(Account,{A1,A2}) vs Account"
+    pair ~alphabet:account_alphabet ~equal:true
+      "QCA(Account,{A1,A2}) vs Account"
       (account_qca a1_a2) Account.automaton;
     pair ~alphabet:account_alphabet "QCA(Account,{A1,A2}) vs QCA(Account,{A2})"
       (account_qca a1_a2) (account_qca Instances.a2);
@@ -205,41 +279,44 @@ let literal_pq_qca rel =
 
 (* The views abstraction itself: the views-state automaton must be
    language-equal to the history-state automaton it quotients, for every
-   spec kind (eta, eta', delta*, account) and several relations; and both
+   spec kind (eta, eta', delta*, account) at every lattice point; and both
    must equal the literal definition at every PQ lattice point. *)
 let views_pairs =
   let hist spec rel = Qca.automaton spec rel in
+  let views ?(alphabet = queue_alphabet) obj eta spec points =
+    List.map
+      (fun (label, rel) ->
+        pair ~alphabet ~equal:true
+          (Fmt.str "views vs history-state: QCA(%s,%s%s)" obj label eta)
+          (Qca.automaton_views ~alphabet spec rel)
+          (hist spec rel))
+      points
+  in
   let literal rel =
     let name = Relation.name rel in
     [
-      pair
+      pair ~equal:true
         (Fmt.str "literal Q-views vs history-state: QCA(PQ,%s,eta)" name)
         (literal_pq_qca rel)
         (hist Instances.pq_spec_eta rel);
-      pair
+      pair ~equal:true
         (Fmt.str "literal Q-views vs views: QCA(PQ,%s,eta)" name)
         (literal_pq_qca rel) (pq_qca rel);
     ]
   in
-  [
-    pair "views vs history-state: QCA(PQ,{Q1,Q2},eta)" (pq_qca q1_q2)
-      (hist Instances.pq_spec_eta q1_q2);
-    pair "views vs history-state: QCA(PQ,{Q1},eta)" (pq_qca Instances.q1)
-      (hist Instances.pq_spec_eta Instances.q1);
-    pair "views vs history-state: QCA(PQ,{Q2},eta')" (pq_qca' Instances.q2)
-      (hist Instances.pq_spec_eta' Instances.q2);
-    pair "views vs history-state: QCA(FIFO,{Q2},eta_fifo)"
-      (fifo_qca Instances.q2)
-      (hist Instances.fifo_spec_eta Instances.q2);
-    pair "views vs history-state: QCA(MPQ,{Q1},delta*)"
-      (Qca.automaton_views ~alphabet:queue_alphabet
-         (Qca.spec_of_automaton Mpq.automaton)
-         Instances.q1)
-      (hist (Qca.spec_of_automaton Mpq.automaton) Instances.q1);
-    pair ~alphabet:account_alphabet "views vs history-state: QCA(Account,{A2})"
-      (account_qca Instances.a2)
-      (hist Instances.account_spec Instances.a2);
-  ]
+  views "PQ" ",eta" Instances.pq_spec_eta queue_points
+  @ views "PQ" ",eta'" Instances.pq_spec_eta' queue_points
+  @ views "FIFO" ",eta_fifo" Instances.fifo_spec_eta queue_points
+  @ views "MPQ" ",delta*"
+      (Qca.spec_of_automaton Mpq.automaton)
+      [ ("{Q1}", Instances.q1) ]
+  @ views ~alphabet:account_alphabet "Account" "" Instances.account_spec
+      [
+        ("{A1,A2}", a1_a2);
+        ("{A1}", Instances.a1);
+        ("{A2}", Instances.a2);
+        ("{}", Relation.empty);
+      ]
   @ List.concat_map literal
       [ Relation.empty; Instances.q1; Instances.q2; q1_q2 ]
 
