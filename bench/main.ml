@@ -123,11 +123,6 @@ let rows_prob =
 (* Simulators and case studies                                         *)
 (* ------------------------------------------------------------------ *)
 
-let small_taxi_params =
-  { Relax_experiments.Taxi.default_params with requests = 10; seed = 3 }
-
-let taxi_point = List.hd (Relax_experiments.Taxi.points ~n:5)
-
 let small_atm_params =
   { Relax_experiments.Atm.default_params with rounds = 5; seed = 3 }
 
@@ -176,11 +171,6 @@ let rows_sim =
           Relax_sim.Network.send_batch net ~src:0 targets
         done;
         Relax_sim.Engine.run e );
-    ( "replica/taxi-point-10req (X-deg)",
-      fun () ->
-        ignore
-          (Relax_experiments.Taxi.run_point ~params:small_taxi_params
-             taxi_point) );
     ( "replica/atm-5rounds (B3-4)",
       fun () ->
         ignore
@@ -227,17 +217,6 @@ let rows_extensions =
       in
       let atomic = Relax_txn.Atomic_automaton.automaton Fifo.automaton in
       fun () -> ignore (Automaton.accepts atomic sched) );
-    ( "replica/adaptive-run (X-adapt)",
-      fun () ->
-        ignore
-          (Relax_experiments.Adaptive.run_once
-             ~params:
-               {
-                 Relax_experiments.Adaptive.default_params with
-                 requests = 8;
-                 seed = 5;
-               }
-             ()) );
     ( "replica/partition-run (X-part)",
       fun () ->
         ignore

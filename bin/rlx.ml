@@ -284,14 +284,15 @@ let knobs_arg =
     const (fun timeout retries backoff -> { timeout; retries; backoff })
     $ timeout $ retries $ backoff)
 
-(* One Runner.config: the knobs, and LDFI's workload size, folded over
-   [base] (an unset flag keeps the base's value). *)
-let configure ?sites ?requests knobs (base : Relax_chaos.Runner.config) =
+(* One Runner.config: the knobs, LDFI's workload size and a simulation's
+   seed, folded over [base] (an unset flag keeps the base's value). *)
+let configure ?sites ?requests ?seed knobs (base : Relax_chaos.Runner.config) =
   let ( |? ) o d = Option.value o ~default:d in
   {
     base with
     sites = sites |? base.sites;
     requests = requests |? base.requests;
+    seed = seed |? base.seed;
     timeout = knobs.timeout |? base.timeout;
     retries = knobs.retries |? base.retries;
     backoff = knobs.backoff |? base.backoff;
@@ -416,30 +417,29 @@ let run_figure which =
 (* Every simulation accepts --seed: the experiments default to their
    historical seeds, so a bare `rlx simulate X` is byte-stable, while
    --seed reseeds the whole fault trace (amnesia and spooler sweep a
-   window of consecutive seeds starting at the given one). *)
+   window of consecutive seeds starting at the given one).  The chaos
+   case studies take the knobs and the seed over their own config. *)
 let simulations =
   let module E = Relax_experiments in
   let window n = Option.map (fun s -> List.init n (fun i -> s + i)) in
   [
     ( "taxi",
-      fun { timeout; retries; backoff } ppf seed ->
-        let params =
-          Option.map (fun seed -> { E.Taxi.default_params with seed }) seed
-        in
-        E.Taxi.run ?params ?timeout ?retries ?backoff ppf () );
+      fun knobs ppf seed ->
+        E.Taxi.run ~config:(configure ?seed knobs E.Taxi.default_config) ppf ()
+    );
     ( "partition",
       fun { timeout; retries; backoff } ppf seed ->
         E.Partition.run ?seed ?timeout ?retries ?backoff ppf () );
     ( "adaptive",
-      fun { timeout; retries; backoff } ppf seed ->
-        let params =
-          Option.map (fun seed -> { E.Adaptive.default_params with seed }) seed
-        in
-        E.Adaptive.run ?params ?timeout ?retries ?backoff ppf () );
+      fun knobs ppf seed ->
+        E.Adaptive.run
+          ~config:(configure ?seed knobs E.Adaptive.default_config)
+          ppf () );
     ( "amnesia",
-      fun { timeout; retries; backoff } ppf seed ->
-        E.Amnesia.run ?seeds:(window 5 seed) ?timeout ?retries ?backoff ppf
-          () );
+      fun knobs ppf seed ->
+        E.Amnesia.run
+          ~config:(configure ?seed knobs E.Amnesia.default_config)
+          ppf () );
     ( "atm",
       fun { timeout; retries; backoff } ppf seed ->
         let params =

@@ -3,35 +3,31 @@
    An urban taxi company replicates its dispatch queue at five sites
    connected by unreliable packet radio.  Dispatchers enqueue prioritized
    requests; idle drivers dequeue the highest-priority pending one.  This
-   example runs the same fault trace against all four points of the
-   relaxation lattice {QCA(PQ, Q, eta) | Q ⊆ {Q1, Q2}} and shows the
-   trade the paper describes: relaxing quorum intersection buys
-   availability and latency, and the behavior degrades exactly to the
-   automaton the lattice predicts — never further.
+   example runs the same chaos workload and fault schedule (site
+   crash/recover churn, one decision per operation window) against all
+   four points of the relaxation lattice {QCA(PQ, Q, eta) | Q ⊆ {Q1, Q2}}
+   and shows the trade the paper describes: relaxing quorum intersection
+   buys availability and latency, and the behavior degrades exactly to
+   the automaton the lattice predicts — never further.
 
    Run with:  dune exec examples/taxi_dispatch.exe *)
 
 let () =
   Fmt.pr "=== taxi dispatch: graceful degradation in action ===@.@.";
   Fmt.pr
-    "Five replicated sites, crash probability 0.15 per site per request,@.";
-  Fmt.pr "forty prioritized requests, identical fault trace per lattice point.@.@.";
-  let params =
-    {
-      Relax_experiments.Taxi.default_params with
-      requests = 40;
-      crash_probability = 0.15;
-      seed = 42;
-    }
-  in
-  let outcomes = Relax_experiments.Taxi.run_all ~params () in
+    "Five replicated sites, crash probability 0.15 per site per operation@.";
+  Fmt.pr
+    "window, forty prioritized requests, identical fault schedule per@.";
+  Fmt.pr "lattice point.@.@.";
+  let config = { Relax_experiments.Taxi.default_config with seed = 42 } in
+  let outcomes = Relax_experiments.Taxi.run_all ~config () in
   Fmt.pr "%-34s %7s %7s %5s %4s %4s %7s  %s@." "lattice point" "served"
     "unavail" "empty" "dup" "inv" "latency" "history check";
   List.iter
     (fun (o : Relax_experiments.Taxi.outcome) ->
       Fmt.pr "%-34s %4d/%-3d %7d %5d %4d %4d %7.1f  %s@." o.label o.served
-        o.requests o.unavailable o.empty_views o.duplicates o.inversions
-        o.mean_latency
+        o.requests o.result.unavailable o.result.empty_views o.duplicates
+        o.inversions o.mean_latency
         (if o.history_ok then "within predicted behavior"
          else "OUTSIDE predicted behavior!"))
     outcomes;

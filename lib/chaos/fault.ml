@@ -106,24 +106,16 @@ let install ?replica engine net events =
 (* ------------------------------------------------------------------ *)
 
 (* A nemesis deciding its next move needs to know which sites are up and
-   whether a partition is in force.  During offline schedule generation
-   there is no network, so the generator maintains this shadow; during
-   in-loop stepping (the retrofitted experiments) it is synced from the
-   live network.  Only actions routed through {!Shadow.apply} move it —
-   which is every action, since nemeses emit through it. *)
+   whether a partition is in force.  Schedules are generated offline,
+   with no network, so the generator maintains this shadow.  Only
+   actions routed through {!Shadow.apply} move it — which is every
+   action, since nemeses emit through it. *)
 module Shadow = struct
   type t = { n : int; up : bool array; mutable partitioned : bool }
 
   let create ~sites =
     if sites <= 0 then invalid_arg "Shadow.create: sites must be positive";
     { n = sites; up = Array.make sites true; partitioned = false }
-
-  let of_network net =
-    {
-      n = Relax_sim.Network.sites net;
-      up = Array.init (Relax_sim.Network.sites net) (Relax_sim.Network.is_up net);
-      partitioned = Relax_sim.Network.partitioned net;
-    }
 
   let sites t = t.n
   let is_up t s = t.up.(s)

@@ -40,14 +40,11 @@ val install :
   unit
 
 (** The up/partitioned view a nemesis consults when deciding its next
-    move: maintained standalone during offline schedule generation, or
-    synced from the live network when stepping inside an experiment
-    loop. *)
+    move, maintained standalone during offline schedule generation. *)
 module Shadow : sig
   type t
 
   val create : sites:int -> t
-  val of_network : Relax_sim.Network.t -> t
   val sites : t -> int
   val is_up : t -> int -> bool
   val up_count : t -> int

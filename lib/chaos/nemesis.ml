@@ -5,15 +5,9 @@
    RNG stream, consults the shadow state (which sites are up, whether a
    partition is in force), emits zero or more fault actions and applies
    them to the shadow so later deciders in the same round see their
-   effect.  The same stepper serves two masters:
-
-     - offline, {!generate} drives a list of nemeses over a tick grid
-       against a standalone shadow, producing the timed fault schedule a
-       chaos run installs and a trace records;
-     - online, the retrofitted experiments call {!step} once per
-       workload round against a shadow synced from the live network,
-       applying the returned actions through {!Fault.apply} — so one
-       code path owns fault injection everywhere.
+   effect.  {!generate} drives a list of nemeses over a tick grid
+   against a standalone shadow, producing the timed fault schedule a
+   chaos run installs and a trace records.
 
    Combinators with memory (toggling windows, rejoin countdowns) carry
    their state in closures: construct a fresh nemesis per run. *)
@@ -24,7 +18,6 @@ type t = {
 }
 
 let name t = t.name
-let step t rng shadow = t.step rng shadow
 
 (* Emit [actions], threading them through the shadow. *)
 let emit shadow actions =
@@ -32,7 +25,7 @@ let emit shadow actions =
   actions
 
 (* Recover the lowest-numbered down sites until [min_up] are up — the
-   "never let every site die" guard of the simulate experiments. *)
+   "never let every site die" guard. *)
 let enforce_min_up shadow ~min_up =
   let rec go acc =
     if Fault.Shadow.up_count shadow >= min_up then List.rev acc

@@ -1,9 +1,9 @@
 (** Composable, seedable nemesis combinators.
 
-    A nemesis decides, at each decision tick, which {!Fault.action}s to
-    inject next, drawing from its own RNG stream and consulting a
-    {!Fault.Shadow.t} of the system (which it also updates, so several
-    nemeses composing in one round see each other's effects).
+    A nemesis decides, at each decision tick of {!generate}, which
+    {!Fault.action}s to inject next, drawing from its own RNG stream and
+    consulting a {!Fault.Shadow.t} of the system (which it also updates,
+    so several nemeses composing in one round see each other's effects).
 
     Combinators with memory (toggling windows, rejoin countdowns) keep
     state in closures — construct a fresh nemesis per run. *)
@@ -11,9 +11,6 @@
 type t
 
 val name : t -> string
-
-(** Decide this tick's actions; updates the shadow as a side effect. *)
-val step : t -> Relax_sim.Rng.t -> Fault.Shadow.t -> Fault.action list
 
 (** {1 Combinators} *)
 

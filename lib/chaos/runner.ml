@@ -71,6 +71,13 @@ let op_window_for config =
 let horizon config =
   float_of_int ((2 * config.requests) + 4) *. op_window_for config
 
+(* The schedule stream is derived from the run seed but decoupled from
+   the engine ([seed]) and workload ([seed + 77]) streams. *)
+let schedule config nemeses =
+  Nemesis.generate nemeses
+    ~rng:(Relax_sim.Rng.create ~seed:(config.seed + 7919))
+    ~sites:config.sites ~horizon:(horizon config) ~tick:config.op_window
+
 type client =
   | Fixed of Assignment.t
   | Controlled of {

@@ -32,6 +32,13 @@ val default_config : config
     here. *)
 val horizon : config -> float
 
+(** The fault schedule [nemeses] produce for a run under [config]: one
+    decision tick per [op_window] out to {!horizon}, drawn from a stream
+    derived from [config.seed] but decoupled from the engine ([seed])
+    and workload ([seed + 77]) streams.  Every chaos run and every case
+    study schedules its faults here. *)
+val schedule : config -> Nemesis.t list -> Fault.event list
+
 type client =
   | Fixed of Assignment.t
   | Controlled of {

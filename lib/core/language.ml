@@ -100,10 +100,12 @@ module Intern = struct
     hash : 'v -> int;
     equal : 'v -> 'v -> bool;
     buckets : (int, ('v * int) list) Hashtbl.t;
+    mutable values : 'v array; (* id -> value; grows by doubling *)
     mutable next : int;
   }
 
-  let create hash equal = { hash; equal; buckets = Hashtbl.create 256; next = 0 }
+  let create hash equal =
+    { hash; equal; buckets = Hashtbl.create 256; values = [||]; next = 0 }
 
   let id t s =
     let h = t.hash s in
@@ -112,9 +114,20 @@ module Intern = struct
     | Some (_, id) -> id
     | None ->
       let id = t.next in
+      if id = Array.length t.values then begin
+        (* the new value fills the fresh cells: no dummy element needed *)
+        let values = Array.make (max 16 (2 * id)) s in
+        Array.blit t.values 0 values 0 id;
+        t.values <- values
+      end;
+      t.values.(id) <- s;
       t.next <- id + 1;
       Hashtbl.replace t.buckets h ((s, id) :: bucket);
       id
+
+  let value t id =
+    if id < 0 || id >= t.next then invalid_arg "Language.Intern.value";
+    t.values.(id)
 
   let key t states = List.sort_uniq Int.compare (List.map (id t) states)
 end

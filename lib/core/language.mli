@@ -85,6 +85,10 @@ module Intern : sig
   (** The dense id of a state, allocated on first sight. *)
   val id : 'v t -> 'v -> int
 
+  (** The state first interned under an id, in O(1).  Raises
+      [Invalid_argument] on an id not yet allocated. *)
+  val value : 'v t -> int -> 'v
+
   (** The canonical key of a state set: its sorted, deduplicated ids. *)
   val key : 'v t -> 'v list -> int list
 end

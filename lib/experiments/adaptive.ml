@@ -2,11 +2,13 @@ open Relax_core
 open Relax_objects
 open Relax_quorum
 open Relax_replica
+module Chaos = Relax_chaos
 module Degrade = Relax_degrade
 
 (* Experiment X-adapt: the combined environment+object automaton of
-   Section 2.3, realized end to end — now on the live degradation
-   controller (lib/degrade) instead of a hand-scripted client.
+   Section 2.3, realized end to end on the live degradation controller
+   (lib/degrade) — one controlled-client chaos run (lib/chaos) under
+   site crash/recover churn.
 
    An adaptive taxi-dispatch client runs at the top of the lattice while
    the monitored constraints hold — every up site can assemble the
@@ -28,11 +30,11 @@ module Degrade = Relax_degrade
    propagate to a majority.
 
    The event+operation history is then replayed through the combined
-   automaton <2^C x STATE, (c0,s0), EVENT ∪ OP, delta>, and — new with
-   the controller — judged incrementally by the online conformance
-   oracle as it is produced; the two verdicts must agree.  The lattice's
-   two automata share the present/absent state space of the MPQ (so the
-   object state survives mode changes):
+   automaton <2^C x STATE, (c0,s0), EVENT ∪ OP, delta>, and judged
+   incrementally by the online conformance oracle as it is produced;
+   the two verdicts must agree.  The lattice's two automata share the
+   present/absent state space of the MPQ (so the object state survives
+   mode changes):
 
      preferred:  Enq inserts into present; Deq transfers best(present)
                  (the priority queue);
@@ -105,50 +107,6 @@ let combined =
   Environment.combine environment adaptive_lattice ~is_operation:(fun p ->
       Queue_ops.is_enq p || Queue_ops.is_deq p)
 
-type outcome = {
-  operations : int;
-  degraded_ops : int;
-  mode_switches : int;
-  accepted_by_combined : bool;
-  online_agrees : bool;
-      (** the online oracle's incremental verdict matches the post-hoc
-          replay *)
-  transitions : Degrade.Controller.transition list;
-  first_rejection : History.t option;
-      (** shortest rejected prefix, for diagnostics *)
-}
-
-(* The shortest prefix of [h] the combined automaton rejects, if any. *)
-let first_rejected_prefix h =
-  List.find_opt
-    (fun prefix -> not (Automaton.accepts combined prefix))
-    (History.prefixes h)
-
-let pp_outcome ppf o =
-  Fmt.pf ppf "%d operations (%d served degraded, %d mode switches): %s, %s"
-    o.operations o.degraded_ops o.mode_switches
-    (if o.accepted_by_combined then "accepted by the combined automaton"
-     else "REJECTED by the combined automaton")
-    (if o.online_agrees then "online oracle agrees"
-     else "ONLINE ORACLE DISAGREES")
-
-type params = {
-  sites : int;
-  requests : int;
-  crash_probability : float;
-  recover_probability : float;
-  seed : int;
-}
-
-let default_params =
-  {
-    sites = 5;
-    requests = 30;
-    crash_probability = 0.25;
-    recover_probability = 0.4;
-    seed = 31;
-  }
-
 (* The degraded assignment: "any available site" thresholds — enqueue
    anywhere, dequeue from whatever single log is reachable. *)
 let relaxed_assignment ~n =
@@ -169,135 +127,67 @@ let preferred_assignment ~n =
       (Queue_ops.deq_name, { Assignment.initial = maj; final = maj });
     ]
 
-let run_once ?(params = default_params) ?(timeout = 80.0) ?retries ?backoff ()
-    =
-  let engine = Relax_sim.Engine.create ~seed:params.seed () in
-  let net =
-    Relax_sim.Network.create ~mean_latency:3.0 engine ~sites:params.sites
-  in
-  let preferred = preferred_assignment ~n:params.sites in
-  let replica =
-    Replica.create ~timeout ?retries ?backoff engine net preferred
-      ~respond:Choosers.pq_eta
-  in
-  let rng = Relax_sim.Rng.create ~seed:(params.seed + 3) in
-  let history = ref [] (* events and operations, reversed *) in
-  let degraded_ops = ref 0 and switches = ref 0 in
-  let oracle = Degrade.Online.of_automaton combined in
-  let emit op =
-    history := op :: !history;
-    Degrade.Online.step oracle op
-  in
-  let controller =
-    Degrade.Controller.create ~replica
-      ~constraints:
-        [
-          Degrade.Monitor.quorum_reachability ~name:"quorums" ~net
-            ~assignment:preferred ();
-        ]
-      ~restore_gate:
-        [
-          Degrade.Monitor.convergence ~name:"converged" ~replica ();
-          Degrade.Monitor.quorum_reachability ~name:"quorums" ~net
-            ~assignment:preferred ();
-        ]
-      ~preferred ~degraded:(relaxed_assignment ~n:params.sites)
-      ~emit:(fun ~degraded ->
-        incr switches;
-        emit (if degraded then degrade_event else restore_event))
-      ()
-  in
-  Degrade.Controller.install controller;
-  let nemesis =
-    Relax_chaos.Nemesis.crash_recover ~crash_p:params.crash_probability
-      ~recover_p:params.recover_probability ()
-  in
-  let crash_round () =
-    let shadow = Relax_chaos.Fault.Shadow.of_network net in
-    List.iter
-      (Relax_chaos.Fault.apply ~replica net)
-      (Relax_chaos.Nemesis.step nemesis rng shadow)
-  in
-  let priorities =
-    let arr = Array.init params.requests (fun i -> i + 1) in
-    Relax_sim.Rng.shuffle rng arr;
-    Array.to_list arr
-  in
-  let ops = ref [] in
-  List.iter
-    (fun prio ->
-      ops := `Enq prio :: !ops;
-      if Relax_sim.Rng.bool rng 0.6 then ops := `Deq :: !ops)
-    priorities;
-  let window = 400.0 in
-  List.iter
-    (fun op ->
-      crash_round ();
-      (* Fail-fast probe / armed-restore commit, replacing the scripted
-         per-operation mode selection of the previous implementation. *)
-      Degrade.Controller.before_op controller;
-      match Relax_sim.Network.up_sites net with
-      | [] ->
-        (* everything down: time still passes so recoveries can fire *)
-        Relax_sim.Engine.run
-          ~until:(Relax_sim.Engine.now engine +. window)
-          engine
-      | up ->
-        let inv =
-          match op with
-          | `Enq prio -> Op.inv Queue_ops.enq_name ~args:[ Value.int prio ]
-          | `Deq -> Op.inv Queue_ops.deq_name
-        in
-        let client_site = Relax_sim.Rng.pick rng up in
-        let completed = ref None in
-        Degrade.Controller.op_started controller;
-        Replica.execute replica ~client_site inv (fun r -> completed := Some r);
-        Relax_sim.Engine.run
-          ~until:(Relax_sim.Engine.now engine +. window)
-          engine;
-        (match !completed with
-        | Some (Replica.Completed (p, _)) ->
-          Degrade.Controller.op_finished controller Degrade.Controller.Op_ok;
-          if Degrade.Controller.degraded controller then incr degraded_ops;
-          emit p
-        | Some (Replica.Unavailable reason) ->
-          Degrade.Controller.op_finished controller
-            (if String.length reason >= 2 && reason.[0] = 'n' && reason.[1] = 'o'
-             then Degrade.Controller.Op_refused
-             else Degrade.Controller.Op_failed)
-        | None ->
-          Degrade.Controller.op_finished controller Degrade.Controller.Op_failed))
-    (List.rev !ops);
-  Degrade.Controller.stop controller;
-  let h = List.rev !history in
-  let is_event p = List.mem (Op.name p) [ "Degrade"; "Restore" ] in
-  let accepted = Automaton.accepts combined h in
-  {
-    operations = List.length (List.filter (fun p -> not (is_event p)) h);
-    degraded_ops = !degraded_ops;
-    mode_switches = !switches;
-    accepted_by_combined = accepted;
-    online_agrees = Degrade.Online.conforms oracle = accepted;
-    transitions = Degrade.Controller.transitions controller;
-    first_rejection = (if accepted then None else first_rejected_prefix h);
-  }
+(* The controller-driven client over the two-point lattice — the same
+   client the chaos "adaptive" scenario sweeps. *)
+let client ~sites =
+  Chaos.Runner.Controlled
+    {
+      preferred = preferred_assignment ~n:sites;
+      degraded = relaxed_assignment ~n:sites;
+      degrade = degrade_event;
+      restore = restore_event;
+      controller = None;
+    }
 
-let run ?params ?timeout ?retries ?backoff ppf () =
-  let o = run_once ?params ?timeout ?retries ?backoff () in
+let default_config = { Chaos.Runner.default_config with requests = 30; seed = 31 }
+
+(* Operations served degraded: those between a Degrade event and the
+   next Restore. *)
+let degraded_ops h =
+  fst
+    (List.fold_left
+       (fun (n, degraded) p ->
+         if Op.equal p degrade_event then (n, true)
+         else if Op.equal p restore_event then (n, false)
+         else ((if degraded then n + 1 else n), degraded))
+       (0, false) h)
+
+let run_once ?(config = default_config) () =
+  let result =
+    Chaos.Runner.run ~config
+      ~online:(fun () -> Degrade.Online.of_automaton combined)
+      ~client:(client ~sites:config.sites)
+      ~respond:Choosers.pq_eta
+      (Chaos.Runner.schedule config [ Chaos.Nemesis.crash_recover () ])
+  in
+  ( result,
+    Chaos.Oracle.check ~accepts:(Automaton.accepts combined)
+      result.Chaos.Runner.history )
+
+let run ?config ppf () =
+  let result, verdict = run_once ?config () in
+  let accepted = Chaos.Oracle.conforms verdict in
+  let online_agrees = Option.is_none result.online_violation = accepted in
+  let degraded = degraded_ops result.history in
   Fmt.pf ppf
     "== Section 2.3: adaptive replica vs the combined automaton ==@\n";
-  Fmt.pf ppf "%a@\n" pp_outcome o;
-  (match o.transitions with
+  Fmt.pf ppf "%d operations (%d served degraded, %d mode switches): %s, %s@\n"
+    result.completed degraded result.mode_switches
+    (if accepted then "accepted by the combined automaton"
+     else "REJECTED by the combined automaton")
+    (if online_agrees then "online oracle agrees"
+     else "ONLINE ORACLE DISAGREES");
+  (match result.transitions with
   | [] -> ()
   | trs ->
     Fmt.pf ppf "controller timeline:@\n";
     List.iter
       (fun tr -> Fmt.pf ppf "  %a@\n" Degrade.Controller.pp_transition tr)
       trs);
-  Option.iter
-    (fun prefix ->
-      Fmt.pf ppf "first rejected prefix:@\n  %a@\n" History.pp prefix)
-    o.first_rejection;
-  let interesting = o.mode_switches >= 2 && o.degraded_ops > 0 in
+  (match verdict with
+  | Chaos.Oracle.Conforms -> ()
+  | Chaos.Oracle.Violation { rejected_prefix; _ } ->
+    Fmt.pf ppf "first rejected prefix:@\n  %a@\n" History.pp rejected_prefix);
+  let interesting = result.mode_switches >= 2 && degraded > 0 in
   Fmt.pf ppf "run exercised both modes: %b@\n" interesting;
-  o.accepted_by_combined && o.online_agrees && interesting
+  accepted && online_agrees && interesting

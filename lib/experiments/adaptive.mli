@@ -23,43 +23,25 @@ val preferred_assignment : n:int -> Relax_quorum.Assignment.t
 (** "Any available site" thresholds — the bottom. *)
 val relaxed_assignment : n:int -> Relax_quorum.Assignment.t
 
-type outcome = {
-  operations : int;
-  degraded_ops : int;
-  mode_switches : int;
-  accepted_by_combined : bool;
-  online_agrees : bool;
-  transitions : Relax_degrade.Controller.transition list;
-  first_rejection : History.t option;
-}
+(** The controller-driven client moving between the two assignments,
+    emitting {!degrade_event} and {!restore_event} — the client of the
+    chaos "adaptive" scenario. *)
+val client : sites:int -> Relax_chaos.Runner.client
 
-val pp_outcome : outcome Fmt.t
+(** The study's run: the chaos runner's defaults at 30 requests, seed
+    31. *)
+val default_config : Relax_chaos.Runner.config
 
-type params = {
-  sites : int;
-  requests : int;
-  crash_probability : float;
-  recover_probability : float;
-  seed : int;
-}
-
-val default_params : params
-
-(** The client knobs default to the experiment's historical values
-    ([timeout] 80.0, the replica's retry/backoff defaults). *)
+(** One {!client} run under the [crash] nemesis's schedule for [config]
+    (default {!default_config}), with the combined automaton as its
+    online oracle, and the post-hoc verdict on its history. *)
 val run_once :
-  ?params:params ->
-  ?timeout:float ->
-  ?retries:int ->
-  ?backoff:float ->
+  ?config:Relax_chaos.Runner.config ->
   unit ->
-  outcome
+  Relax_chaos.Runner.result * Relax_chaos.Oracle.verdict
 
+(** Print the run and its controller timeline; [true] when both
+    verdicts accept and the run switched modes and served some
+    operations degraded. *)
 val run :
-  ?params:params ->
-  ?timeout:float ->
-  ?retries:int ->
-  ?backoff:float ->
-  Format.formatter ->
-  unit ->
-  bool
+  ?config:Relax_chaos.Runner.config -> Format.formatter -> unit -> bool

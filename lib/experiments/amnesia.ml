@@ -1,118 +1,72 @@
 open Relax_core
 open Relax_objects
 open Relax_replica
+module Chaos = Relax_chaos
 
 (* Experiment X-amnesia: the stable-storage assumption is load-bearing.
 
    Quorum consensus guarantees one-copy serializability on the premise
    that a site's log survives its crashes (crash-recovery, not amnesia).
-   This experiment runs the same serial workload against the preferred
-   assignment twice: once with crash-recovery semantics (logs persist)
-   and once with amnesia (a crashed site loses its log).  With stable
-   logs every completed history stays in L(PQ); with amnesia the
-   intersection argument breaks — a recovered empty site can complete a
-   later quorum that misses earlier operations — and a PQ violation
-   appears.  A reproduction that could not exhibit this failure would not
-   really be exercising the mechanism. *)
+   This experiment runs the same chaos workload against the preferred
+   assignment (point top) twice: once under crash/recover churn (logs
+   persist) and once under the amnesia nemesis (a crashed site loses its
+   log).  With stable logs every completed history stays in L(PQ); with
+   amnesia the intersection argument breaks — a recovered empty site can
+   complete a later quorum that misses earlier operations — and a PQ
+   violation appears.  A reproduction that could not exhibit this
+   failure would not really be exercising the mechanism. *)
 
-type outcome = {
-  amnesia : bool;
-  served : int;
-  violations_found : bool;
-  witness : History.t option;
-}
+let default_config = { Chaos.Runner.default_config with requests = 25; seed = 41 }
 
-let pp_outcome ppf o =
-  Fmt.pf ppf "%-16s served %2d  %s"
-    (if o.amnesia then "amnesia" else "crash-recovery")
-    o.served
-    (match (o.violations_found, o.witness) with
-    | false, _ -> "history within L(PQ)"
-    | true, Some w ->
-      Fmt.str "PQ VIOLATION, e.g. %a"
-        History.pp
-        (List.filteri (fun i _ -> i < 8) w)
-    | true, None -> "PQ VIOLATION")
-
-let run_once ?(timeout = 80.0) ?retries ?backoff ~amnesia ~seed () =
-  let engine = Relax_sim.Engine.create ~seed () in
-  let net = Relax_sim.Network.create ~mean_latency:2.0 engine ~sites:5 in
-  let maj = 3 in
-  let assignment =
-    Relax_quorum.Assignment.make ~n:5
-      [
-        (Queue_ops.enq_name, { Relax_quorum.Assignment.initial = 0; final = maj });
-        (Queue_ops.deq_name, { Relax_quorum.Assignment.initial = maj; final = maj });
-      ]
-  in
-  let replica =
-    Replica.create ~timeout ?retries ?backoff engine net assignment
-      ~respond:Choosers.pq_eta
-  in
-  let rng = Relax_sim.Rng.create ~seed:(seed + 1) in
-  let served = ref 0 in
+let run_once ?(config = default_config) ~amnesia () =
   (* The only difference between the two regimes is the nemesis: the
      amnesia combinator wipes stable storage on every crash. *)
   let nemesis =
-    if amnesia then Relax_chaos.Nemesis.amnesia ~crash_p:0.25 ~recover_p:0.5 ()
-    else Relax_chaos.Nemesis.crash_recover ~crash_p:0.25 ~recover_p:0.5 ()
+    (if amnesia then Chaos.Nemesis.amnesia else Chaos.Nemesis.crash_recover)
+      ~crash_p:0.25 ~recover_p:0.5 ()
   in
-  let crash_round () =
-    let shadow = Relax_chaos.Fault.Shadow.of_network net in
-    List.iter
-      (Relax_chaos.Fault.apply ~replica net)
-      (Relax_chaos.Nemesis.step nemesis rng shadow)
+  let top = Taxi.point ~n:config.sites "top" in
+  let result =
+    Chaos.Runner.run ~config ~client:(Chaos.Runner.Fixed top.assignment)
+      ~respond:Choosers.pq_eta
+      (Chaos.Runner.schedule config [ nemesis ])
   in
-  let run_op inv =
-    crash_round ();
-    let client_site = Relax_sim.Rng.pick rng (Relax_sim.Network.up_sites net) in
-    let result = ref None in
-    Replica.execute replica ~client_site inv (fun r -> result := Some r);
-    Relax_sim.Engine.run ~until:(Relax_sim.Engine.now engine +. 400.0) engine;
-    match !result with
-    | Some (Replica.Completed (p, _)) ->
-      if Queue_ops.is_deq p then incr served
-    | Some (Replica.Unavailable _) | None -> ()
-  in
-  let priorities =
-    let arr = Array.init 25 (fun i -> i + 1) in
-    Relax_sim.Rng.shuffle rng arr;
-    Array.to_list arr
-  in
-  List.iter
-    (fun prio ->
-      run_op (Op.inv Queue_ops.enq_name ~args:[ Value.int prio ]);
-      if Relax_sim.Rng.bool rng 0.7 then run_op (Op.inv Queue_ops.deq_name))
-    priorities;
-  let history = Replica.completed_history replica in
-  let ok = Automaton.accepts Pqueue.automaton history in
-  {
-    amnesia;
-    served = !served;
-    violations_found = not ok;
-    witness = (if ok then None else Some history);
-  }
+  ( result,
+    Chaos.Oracle.check ~accepts:(Taxi.predicted_accepts top.cset)
+      result.Chaos.Runner.history )
+
+let pp_run ppf (amnesia, (result : Chaos.Runner.result), verdict) =
+  Fmt.pf ppf "%-16s served %2d  %s"
+    (if amnesia then "amnesia" else "crash-recovery")
+    (List.length (List.filter Queue_ops.is_deq result.history))
+    (match verdict with
+    | Chaos.Oracle.Conforms -> "history within L(PQ)"
+    | Chaos.Oracle.Violation { rejected_prefix; _ } ->
+      (* the shortest rejected prefix ends at the violating operation *)
+      let n = List.length rejected_prefix in
+      Fmt.str "PQ VIOLATION at op %d, %a" n Op.pp
+        (List.nth rejected_prefix (n - 1)))
 
 (* With stable logs, every seed must stay in L(PQ); with amnesia, some
    seed in the sweep must exhibit a violation. *)
-let run ?(seeds = [ 41; 42; 43; 44; 45 ]) ?timeout ?retries ?backoff ppf () =
+let run ?(config = default_config) ?(runs = 5) ppf () =
   Fmt.pf ppf
     "== The stable-storage assumption (preferred assignment, same faults) ==@\n";
-  let stable =
-    List.map
-      (fun seed -> run_once ?timeout ?retries ?backoff ~amnesia:false ~seed ())
-      seeds
+  let sweep amnesia =
+    List.init runs (fun i ->
+        let r, v =
+          run_once ~config:{ config with seed = config.seed + i } ~amnesia ()
+        in
+        (amnesia, r, v))
   in
-  let wiped =
-    List.map
-      (fun seed -> run_once ?timeout ?retries ?backoff ~amnesia:true ~seed ())
-      seeds
-  in
-  List.iter2
-    (fun a b -> Fmt.pf ppf "seed: %a | %a@\n" pp_outcome a pp_outcome b)
-    stable wiped;
-  let stable_safe = List.for_all (fun o -> not o.violations_found) stable in
-  let amnesia_breaks = List.exists (fun o -> o.violations_found) wiped in
+  let stable = sweep false and wiped = sweep true in
+  List.iteri
+    (fun i (a, b) ->
+      Fmt.pf ppf "seed %d: %a | %a@\n" (config.seed + i) pp_run a pp_run b)
+    (List.combine stable wiped);
+  let conforms (_, _, v) = Chaos.Oracle.conforms v in
+  let stable_safe = List.for_all conforms stable in
+  let amnesia_breaks = not (List.for_all conforms wiped) in
   Fmt.pf ppf "crash-recovery preserves the preferred behavior: %b@\n"
     stable_safe;
   Fmt.pf ppf "amnesia breaks it at some seed: %b@\n" amnesia_breaks;

@@ -1,38 +1,30 @@
-open Relax_core
-
 (** Experiment X-amnesia of EXPERIMENTS.md: the stable-storage assumption
-    is load-bearing.  The same serial workload against the preferred
-    assignment, with crash-recovery semantics (logs survive) versus
-    amnesia (a crashed site loses its log): crash-recovery keeps every
-    history in [L(PQ)]; amnesia produces violations. *)
+    is load-bearing.  The same chaos workload against the preferred
+    assignment (point top), under crash/recover churn (logs survive)
+    versus the amnesia nemesis (a crashed site loses its log):
+    crash-recovery keeps every history in [L(PQ)]; amnesia produces
+    violations. *)
 
-type outcome = {
-  amnesia : bool;
-  served : int;
-  violations_found : bool;
-  witness : History.t option;
-}
+(** The study's run: the chaos runner's defaults at 25 requests, seed
+    41. *)
+val default_config : Relax_chaos.Runner.config
 
-val pp_outcome : outcome Fmt.t
-
-(** The client knobs default to the experiment's historical values
-    ([timeout] 80.0, the replica's retry/backoff defaults). *)
+(** One run at point top under the [crash] or [amnesia] nemesis at the
+    study's rates (crash 0.25, recover 0.5), scheduled by
+    {!Relax_chaos.Runner.schedule} for [config], and its verdict
+    against [L(PQ)]. *)
 val run_once :
-  ?timeout:float ->
-  ?retries:int ->
-  ?backoff:float ->
+  ?config:Relax_chaos.Runner.config ->
   amnesia:bool ->
-  seed:int ->
   unit ->
-  outcome
+  Relax_chaos.Runner.result * Relax_chaos.Oracle.verdict
 
-(** [true] when crash-recovery is safe at every seed and amnesia breaks
-    at least one. *)
+(** Both regimes at [runs] (default 5) consecutive seeds from
+    [config.seed]; [true] when crash-recovery is safe at every seed and
+    amnesia breaks at least one. *)
 val run :
-  ?seeds:int list ->
-  ?timeout:float ->
-  ?retries:int ->
-  ?backoff:float ->
+  ?config:Relax_chaos.Runner.config ->
+  ?runs:int ->
   Format.formatter ->
   unit ->
   bool

@@ -73,16 +73,7 @@ let all =
         "Section 2.3 controller-driven client vs the combined automaton";
       lattice = "adaptive";
       durable = false;
-      client =
-        (fun ~sites ->
-          Chaos.Runner.Controlled
-            {
-              preferred = Adaptive.preferred_assignment ~n:sites;
-              degraded = Adaptive.relaxed_assignment ~n:sites;
-              degrade = Adaptive.degrade_event;
-              restore = Adaptive.restore_event;
-              controller = None;
-            });
+      client = Adaptive.client;
       accepts = Automaton.accepts Adaptive.combined;
       online = (fun () -> Relax_degrade.Online.of_automaton Adaptive.combined);
     };
@@ -109,20 +100,11 @@ let default_nemeses =
 (* Trace construction and replay                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* The schedule stream is derived from the run seed but decoupled from
-   the engine ([seed]) and workload ([seed + 77]) streams. *)
-let schedule_rng config = Relax_sim.Rng.create ~seed:(config.Chaos.Runner.seed + 7919)
-
 let make_trace ~point ~nemeses ~config =
   match (find point, Chaos.Nemesis.of_names nemeses) with
   | Error e, _ | _, Error e -> Error e
   | Ok _, Ok nems ->
-    let events =
-      Chaos.Nemesis.generate nems ~rng:(schedule_rng config)
-        ~sites:config.Chaos.Runner.sites
-        ~horizon:(Chaos.Runner.horizon config)
-        ~tick:config.Chaos.Runner.op_window
-    in
+    let events = Chaos.Runner.schedule config nems in
     Ok { Chaos.Trace.point; nemeses; config; events }
 
 let run_trace (trace : Chaos.Trace.t) =

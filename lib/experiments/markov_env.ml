@@ -10,9 +10,10 @@ open Relax_prob
    voting thresholds the exact probability that each lattice point's
    constraints can be met (binomial tails); and from those, the expected
    long-run operation availability.  The same parameters then drive the
-   discrete-event taxi workload, whose *measured* availability must agree
-   with the closed form — the two models compose without either knowing
-   the other's internals. *)
+   discrete-event taxi workload — one chaos run per point, the chain
+   stepping once per operation window — whose *measured* availability
+   must agree with the closed form: the two models compose without
+   either knowing the other's internals. *)
 
 type row = {
   label : string;
@@ -45,19 +46,11 @@ let predicted point ~crash ~recover op =
    (empty-view Deqs are excluded — they failed for lack of work, not lack
    of quorum). *)
 let measured point ~crash ~recover ~requests ~seed =
-  let params =
-    {
-      Taxi.default_params with
-      requests;
-      crash_probability = crash;
-      recover_probability = recover;
-      seed;
-    }
-  in
-  let o = Taxi.run_point ~params point in
-  let with_work = o.Taxi.attempted - o.Taxi.empty_views in
-  let completed = with_work - o.Taxi.unavailable in
-  (float_of_int completed /. float_of_int (max 1 with_work), o)
+  let config = { Relax_chaos.Runner.default_config with requests; seed } in
+  let o = Taxi.run_point ~config ~crash_p:crash ~recover_p:recover point in
+  let r = o.Taxi.result in
+  let with_work = r.completed + r.unavailable in
+  (float_of_int r.completed /. float_of_int (max 1 with_work), o)
 
 let run_body ~crash ~recover ~requests ~seed ppf =
   let chain = site_chain ~crash ~recover in

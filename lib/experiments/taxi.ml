@@ -2,9 +2,11 @@ open Relax_core
 open Relax_objects
 open Relax_quorum
 open Relax_replica
+module Chaos = Relax_chaos
 
 (* Experiment X-deg: the taxicab company of Section 3.3, run on the
-   message-passing replica runtime with injected site crashes.
+   message-passing replica runtime with injected site crashes — each
+   lattice point is one chaos run (lib/chaos) of its voting assignment.
 
    The priority queue is replicated at [sites] sites; dispatchers enqueue
    prioritized requests and idle drivers dequeue the highest-priority
@@ -13,8 +15,7 @@ open Relax_replica
    point we measure availability and latency (the paper's "cost" column)
    and the anomalies of the relaxed behaviors (duplicate services,
    out-of-order services), and verify that the completed history is
-   accepted by the behavior the lattice predicts and — for the strict
-   points — NOT always by a stronger one. *)
+   accepted by the behavior the lattice predicts. *)
 
 type point = {
   name : string;
@@ -54,26 +55,6 @@ let points ~n =
 
 let point ~n name = List.find (fun p -> p.name = name) (points ~n)
 let point_names = List.map (fun p -> p.name) (points ~n:1)
-
-type outcome = {
-  label : string;
-  requests : int;
-  attempted : int; (* total operations attempted (enqueues + dequeues) *)
-  served : int;
-  unavailable : int; (* quorum could not be assembled before the timeout *)
-  empty_views : int; (* Deq whose view showed nothing to dispatch *)
-  duplicates : int;
-  inversions : int;
-  mean_latency : float;
-  history_ok : bool; (* accepted by the predicted behavior *)
-}
-
-let pp_outcome ppf o =
-  Fmt.pf ppf
-    "%-34s served %3d/%3d  unavailable %3d  empty %3d  dup %2d  inversions %2d  lat %6.1f  %s"
-    o.label o.served o.requests o.unavailable o.empty_views o.duplicates
-    o.inversions o.mean_latency
-    (if o.history_ok then "history=predicted" else "HISTORY MISMATCH")
 
 (* Anomaly metrics on the completed history. *)
 let count_duplicates (h : History.t) =
@@ -130,139 +111,66 @@ let predicted_online cset =
   else if Cset.mem "Q2" cset then O.of_automaton Opq.automaton
   else O.of_automaton Degen.automaton
 
-type params = {
-  sites : int;
+let default_config = { Chaos.Runner.default_config with requests = 40; seed = 2 }
+
+type outcome = {
+  label : string;
   requests : int;
-  crash_probability : float; (* per request-round, each site *)
-  recover_probability : float;
+  attempted : int;
+  served : int;
+  duplicates : int;
+  inversions : int;
   mean_latency : float;
-  seed : int;
+  history_ok : bool;
+  result : Chaos.Runner.result;
 }
 
-let default_params =
-  {
-    sites = 5;
-    requests = 40;
-    crash_probability = 0.15;
-    recover_probability = 0.5;
-    mean_latency = 4.0;
-    seed = 2;
-  }
+let pp_outcome ppf o =
+  Fmt.pf ppf
+    "%-34s served %3d/%3d  unavailable %3d  empty %3d  dup %2d  inversions %2d  lat %6.1f  %s"
+    o.label o.served o.requests o.result.unavailable o.result.empty_views
+    o.duplicates o.inversions o.mean_latency
+    (if o.history_ok then "history=predicted" else "HISTORY MISMATCH")
 
-(* One lattice point under one fault trace.  Operations run serially (each
-   started when the previous completes or times out) so the completed
-   history is directly comparable with the simple-object behaviors; the
-   same seed produces the same crash pattern for every point. *)
-let run_point ?(params = default_params) ?(timeout = 120.0) ?retries ?backoff
-    point =
-  let engine = Relax_sim.Engine.create ~seed:params.seed () in
-  let net =
-    Relax_sim.Network.create ~mean_latency:params.mean_latency engine
-      ~sites:params.sites
-  in
-  let replica =
-    Replica.create ~timeout ?retries ?backoff engine net point.assignment
+(* One lattice point under the taxi fault process: a fixed-client chaos
+   run of [point]'s assignment under site crash/recover churn (the
+   nemesis's own rates by default), with the predicted behavior as its
+   online oracle.  The config fixes the workload and the fault schedule,
+   so every point of one config sees the same faults.  Served requests
+   are the completed Deqs; the mean latency is the replica's. *)
+let run_point ?(config = default_config) ?crash_p ?recover_p point =
+  let result =
+    Chaos.Runner.run ~config
+      ~online:(fun () -> predicted_online point.cset)
+      ~client:(Chaos.Runner.Fixed point.assignment)
       ~respond:Choosers.pq_eta
+      (Chaos.Runner.schedule config
+         [ Chaos.Nemesis.crash_recover ?crash_p ?recover_p () ])
   in
-  let rng = Relax_sim.Rng.create ~seed:(params.seed + 77) in
-  (* Distinct priorities, so a repeated Deq value is genuinely the same
-     request serviced twice and not a priority collision. *)
-  let priorities =
-    let arr = Array.init params.requests (fun i -> i + 1) in
-    Relax_sim.Rng.shuffle rng arr;
-    Array.to_list arr
-  in
-  (* interleave: enqueue a request, then with growing probability dequeue *)
-  let ops = ref [] in
-  let enqueued = ref 0 and dequeued = ref 0 in
-  List.iter
-    (fun prio ->
-      ops := `Enq prio :: !ops;
-      if Relax_sim.Rng.bool rng 0.7 then ops := `Deq :: !ops)
-    priorities;
-  let ops = List.rev !ops in
-  (* faults come from the chaos layer: one nemesis stepped per round,
-     its actions applied through the single fault code path *)
-  let nemesis =
-    Relax_chaos.Nemesis.crash_recover ~crash_p:params.crash_probability
-      ~recover_p:params.recover_probability ()
-  in
-  let crash_round () =
-    let shadow = Relax_chaos.Fault.Shadow.of_network net in
-    List.iter
-      (Relax_chaos.Fault.apply ~replica net)
-      (Relax_chaos.Nemesis.step nemesis rng shadow)
-  in
-  let unavailable = ref 0 and empty_views = ref 0 in
-  (* packet-radio relaying: background propagation is the self-healing
-     anti-entropy loop — quiet while the logs agree, a gossip round as
-     soon as they diverge, backing off (up to five op windows) while a
-     round cannot help *)
-  let ae =
-    Relax_degrade.Anti_entropy.create ~check_every:500.0 ~min_interval:500.0
-      ~max_interval:2500.0 engine replica
-  in
-  Relax_degrade.Anti_entropy.install ae;
-  let run_op op =
-    crash_round ();
-    let client_site = Relax_sim.Rng.pick rng (Relax_sim.Network.up_sites net) in
-    let inv =
-      match op with
-      | `Enq prio -> Op.inv Queue_ops.enq_name ~args:[ Value.int prio ]
-      | `Deq -> Op.inv Queue_ops.deq_name
-    in
-    let settled = ref false in
-    Replica.execute replica ~client_site inv (fun r ->
-        settled := true;
-        match r with
-        | Replica.Completed (p, _) ->
-          if Queue_ops.is_enq p then incr enqueued
-          else if Queue_ops.is_deq p then incr dequeued
-        | Replica.Unavailable reason ->
-          (* distinguish "no taxi request pending in the view" from a real
-             quorum failure *)
-          if String.length reason >= 2 && reason.[0] = 'n' && reason.[1] = 'o'
-          then incr empty_views
-          else incr unavailable);
-    (* run the engine until this operation settles *)
-    Relax_sim.Engine.run ~until:(Relax_sim.Engine.now engine +. 500.0) engine;
-    if not !settled then incr unavailable
-  in
-  List.iter run_op ops;
-  (* let the background propagation quiesce *)
-  Replica.gossip replica;
-  Relax_sim.Engine.run ~until:(Relax_sim.Engine.now engine +. 500.0) engine;
-  let history = Replica.completed_history replica in
-  let latencies = Replica.op_latencies replica in
-  let mean_latency =
-    match latencies with
-    | [] -> 0.0
-    | l -> List.fold_left ( +. ) 0.0 l /. float_of_int (List.length l)
-  in
+  let history = result.history in
   {
     label = point.label;
-    requests = params.requests;
-    attempted = List.length ops;
-    served = !dequeued;
-    unavailable = !unavailable;
-    empty_views = !empty_views;
+    requests = config.requests;
+    attempted = result.completed + result.unavailable + result.empty_views;
+    served = List.length (List.filter Queue_ops.is_deq history);
     duplicates = count_duplicates history;
     inversions = count_inversions history;
-    mean_latency;
+    mean_latency =
+      Option.value ~default:0.0
+        (Relax_obs.Metrics.mean result.metrics "replica/latency");
     history_ok = predicted_accepts point.cset history;
+    result;
   }
 
-let run_all ?(params = default_params) ?timeout ?retries ?backoff () =
-  List.map
-    (run_point ~params ?timeout ?retries ?backoff)
-    (points ~n:params.sites)
+let run_all ?(config = default_config) () =
+  List.map (run_point ~config) (points ~n:config.sites)
 
-let run_body ?params ?timeout ?retries ?backoff ppf =
-  let outcomes = run_all ?params ?timeout ?retries ?backoff () in
+let run_body ?config ppf =
+  let outcomes = run_all ?config () in
   List.iter (fun o -> Fmt.pf ppf "%a@\n" pp_outcome o) outcomes;
   List.for_all (fun o -> o.history_ok) outcomes
 
-let claims ?params ?timeout ?retries ?backoff () =
+let claims ?config () =
   [
     Relax_claims.Claim.report ~id:"taxi/degradation" ~kind:Characterization
       ~paper:"Section 3.3 (taxicab example)"
@@ -270,18 +178,17 @@ let claims ?params ?timeout ?retries ?backoff () =
         "each lattice point's completed history matches its predicted \
          behavior under injected crashes"
       ~detail:"replica runtime, 4 quorum assignments under one fault trace"
-      (run_body ?params ?timeout ?retries ?backoff);
+      (run_body ?config);
   ]
 
-let group ?params ?timeout ?retries ?backoff () =
+let group ?config () =
   {
     Relax_claims.Registry.gid = "taxi";
     title = "Section 3.3 taxi dispatch on the replica runtime";
     header =
       "== Section 3.3: taxi dispatch on the replica runtime (crashes \
        injected) ==\n";
-    claims = claims ?params ?timeout ?retries ?backoff ();
+    claims = claims ?config ();
   }
 
-let run ?params ?timeout ?retries ?backoff ppf () =
-  Relax_claims.Engine.run_print (group ?params ?timeout ?retries ?backoff ()) ppf
+let run ?config ppf () = Relax_claims.Engine.run_print (group ?config ()) ppf

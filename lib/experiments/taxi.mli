@@ -25,21 +25,6 @@ val point : n:int -> string -> point
 (** The names of {!points}, in order. *)
 val point_names : string list
 
-type outcome = {
-  label : string;
-  requests : int;
-  attempted : int;  (** total operations attempted *)
-  served : int;
-  unavailable : int;  (** quorum not assemblable before the timeout *)
-  empty_views : int;  (** Deqs whose view showed nothing to dispatch *)
-  duplicates : int;
-  inversions : int;
-  mean_latency : float;
-  history_ok : bool;  (** completed history accepted by the prediction *)
-}
-
-val pp_outcome : outcome Fmt.t
-
 (** Extra services of an already-serviced request. *)
 val count_duplicates : History.t -> int
 
@@ -54,60 +39,46 @@ val predicted_accepts : Cset.t -> History.t -> bool
     oracle. *)
 val predicted_online : Cset.t -> Relax_degrade.Online.t
 
-type params = {
-  sites : int;
+(** The study's run: the chaos runner's defaults at 40 requests, seed 2. *)
+val default_config : Relax_chaos.Runner.config
+
+type outcome = {
+  label : string;
   requests : int;
-  crash_probability : float;
-  recover_probability : float;
-  mean_latency : float;
-  seed : int;
+  attempted : int;  (** total operations attempted *)
+  served : int;  (** completed Deqs *)
+  duplicates : int;
+  inversions : int;
+  mean_latency : float;  (** of completed operations *)
+  history_ok : bool;  (** completed history accepted by the prediction *)
+  result : Relax_chaos.Runner.result;
+      (** the run itself: its unavailable and empty-view counts, history
+          and digest *)
 }
 
-val default_params : params
+val pp_outcome : outcome Fmt.t
 
-(** One lattice point under one (seed-determined) fault trace.  The
-    client knobs default to the experiment's historical values
-    ([timeout] 120.0, the replica's retry/backoff defaults); `rlx
-    simulate taxi --timeout/--retries/--backoff` overrides them. *)
+(** One lattice point under site crash/recover churn at [crash_p] and
+    [recover_p] (default: the [crash] nemesis's 0.15 and 0.5): one
+    {!Relax_chaos.Runner.run} of the point's assignment with the
+    predicted behavior as its online oracle, under the schedule
+    {!Relax_chaos.Runner.schedule} draws for [config] (default
+    {!default_config}).  The point must be built over [config.sites]. *)
 val run_point :
-  ?params:params ->
-  ?timeout:float ->
-  ?retries:int ->
-  ?backoff:float ->
+  ?config:Relax_chaos.Runner.config ->
+  ?crash_p:float ->
+  ?recover_p:float ->
   point ->
   outcome
 
-(** All four points under the same fault trace. *)
-val run_all :
-  ?params:params ->
-  ?timeout:float ->
-  ?retries:int ->
-  ?backoff:float ->
-  unit ->
-  outcome list
+(** All four points under the same fault schedule. *)
+val run_all : ?config:Relax_chaos.Runner.config -> unit -> outcome list
 
 val claims :
-  ?params:params ->
-  ?timeout:float ->
-  ?retries:int ->
-  ?backoff:float ->
-  unit ->
-  Relax_claims.Claim.t list
+  ?config:Relax_chaos.Runner.config -> unit -> Relax_claims.Claim.t list
 
-val group :
-  ?params:params ->
-  ?timeout:float ->
-  ?retries:int ->
-  ?backoff:float ->
-  unit ->
-  Relax_claims.Registry.group
+val group : ?config:Relax_chaos.Runner.config -> unit -> Relax_claims.Registry.group
 
 (** Print the table; [true] when every history matches its prediction. *)
 val run :
-  ?params:params ->
-  ?timeout:float ->
-  ?retries:int ->
-  ?backoff:float ->
-  Format.formatter ->
-  unit ->
-  bool
+  ?config:Relax_chaos.Runner.config -> Format.formatter -> unit -> bool

@@ -61,11 +61,11 @@ type cert = { relation : int; obligations : int }
 let default_max_pairs = 50_000
 
 (* A memoizing stepper over an interned automaton.  States are interned
-   to dense ids on first sight (and kept in a reverse table), every
-   distinct state is stepped at most once per operation, and every
-   distinct (state-set, operation) edge merges the per-state successor
-   ids once; after that, stepping is pure integer work — no state
-   hashing, no transition recomputation.  The same stepper is shared
+   to dense ids on first sight (the intern table maps ids back to
+   states), every distinct state is stepped at most once per operation,
+   and every distinct (state-set, operation) edge merges the per-state
+   successor ids once; after that, stepping is pure integer work — no
+   state hashing, no transition recomputation.  The same stepper is shared
    between synthesis, certification and both directions of an
    equivalence; the obligations are still discharged against the
    automaton's own transition function, evaluated once per distinct
@@ -74,7 +74,6 @@ module Stepper = struct
   type 'v t = {
     a : 'v Automaton.t;
     intern : 'v Language.Intern.t option;
-    states : (int, 'v) Hashtbl.t; (* id -> representative state *)
     scache : (int * Op.t, int list) Hashtbl.t; (* per-state successors *)
     cache : (int list * Op.t, 'v list * int list) Hashtbl.t; (* per-set *)
   }
@@ -86,22 +85,18 @@ module Stepper = struct
         Option.map
           (fun h -> Language.Intern.create h (Automaton.equal_state a))
           (Automaton.hash_state a);
-      states = Hashtbl.create 1024;
       scache = Hashtbl.create 1024;
       cache = Hashtbl.create 1024;
     }
 
   let hashed t = t.intern <> None
 
-  let reg t st =
-    let id = Language.Intern.id (Option.get t.intern) st in
-    if not (Hashtbl.mem t.states id) then Hashtbl.add t.states id st;
-    id
+  let reg t st = Language.Intern.id (Option.get t.intern) st
+  let state t id = Language.Intern.value (Option.get t.intern) id
 
   (* The canonical key of a state set: its sorted, deduplicated ids —
-     exactly {!Language.Intern.key}, with the representatives recorded
-     so sets can be rebuilt from ids alone. *)
-  let key t s = List.sort_uniq Int.compare (List.map (reg t) s)
+     {!Language.Intern.key}, from which the set can be rebuilt. *)
+  let key t s = Language.Intern.key (Option.get t.intern) s
 
   (* Successors of the state set canonicalized by [k], with their key.
      Ids determine the set, so only the key is consulted; a candidate
@@ -118,7 +113,7 @@ module Stepper = struct
               match Hashtbl.find_opt t.scache (sid, p) with
               | Some ids -> ids
               | None ->
-                let st = Hashtbl.find t.states sid in
+                let st = state t sid in
                 let ids = List.map (reg t) (Automaton.step t.a st p) in
                 Hashtbl.add t.scache (sid, p) ids;
                 ids
@@ -127,7 +122,7 @@ module Stepper = struct
           [] k
       in
       let k' = List.sort_uniq Int.compare succ_ids in
-      let r = (List.map (Hashtbl.find t.states) k', k') in
+      let r = (List.map (state t) k', k') in
       Hashtbl.add t.cache (k, p) r;
       r
 end

@@ -234,13 +234,8 @@ end)
 (* Dense ids for the values [hash] and [equal] tell apart, and the
    representative value of each id. *)
 let interner hash equal =
-  let ids = Language.Intern.create hash equal and values = Hashtbl.create 256 in
-  let id v =
-    let id = Language.Intern.id ids v in
-    if not (Hashtbl.mem values id) then Hashtbl.add values id v;
-    id
-  in
-  (id, Hashtbl.find values)
+  let t = Language.Intern.create hash equal in
+  (Language.Intern.id t, Language.Intern.value t)
 
 (* [memo tbl key f] is [f ()], computed once per [key]. *)
 let memo tbl key f =

@@ -57,7 +57,6 @@ type t = {
   mutable ops_started : int; (* trace-visible operation ids *)
   mutable attempts_total : int;
   mutable retries_total : int;
-  mutable op_latencies : float list;
   (* Entries of operations that timed out.  The underlying replication
      method (Herlihy '86) runs each operation inside a transaction with
      two-phase commit, so a failed operation aborts and its tentative log
@@ -106,7 +105,6 @@ let create ?(timeout = 200.0) ?(retries = 2) ?(backoff = 8.0) ?metrics engine
     ops_started = 0;
     attempts_total = 0;
     retries_total = 0;
-    op_latencies = [];
     tombstones = Log.empty;
     tentative = [];
     journals = Array.make n None;
@@ -207,7 +205,6 @@ let completed_history t : History.t = List.map snd (completed t)
 let unavailable_count t = t.unavailable
 let attempts_total t = t.attempts_total
 let retries_total t = t.retries_total
-let op_latencies t = List.rev t.op_latencies
 
 let is_tombstoned t e = Log.mem t.tombstones e
 
@@ -474,7 +471,9 @@ let execute t ~client_site inv callback =
         trace_op "replica/complete"
           [ At.float "lat" latency; At.int "attempt" !attempt_no ];
         t.completed <- (Relax_sim.Engine.now t.engine, op) :: t.completed;
-        t.op_latencies <- latency :: t.op_latencies
+        Option.iter
+          (fun m -> Relax_obs.Metrics.observe m "replica/latency" latency)
+          t.metrics
       | Unavailable reason ->
         count t "replica/unavailable";
         trace_op "replica/unavailable" [ At.str "reason" reason ];

@@ -35,7 +35,8 @@ type t
     backoff is deterministic per seed).  When [metrics] is given, the
     replica counts [replica/attempts], [replica/retries],
     [replica/timeouts], [replica/completed] and [replica/unavailable]
-    there and records the [replica/backoff] delays. *)
+    there and records the [replica/backoff] delays and the
+    [replica/latency] of every completed operation. *)
 val create :
   ?timeout:float ->
   ?retries:int ->
@@ -89,8 +90,6 @@ val attempts_total : t -> int
 
 (** Attempts that were retries of a timed-out predecessor. *)
 val retries_total : t -> int
-
-val op_latencies : t -> float list
 
 (** One anti-entropy round: every up site pushes its log to every peer it
     can currently reach — partition-aware, so during a partition only the

@@ -1,28 +1,12 @@
 (* Regenerates the committed golden trace exports:
      dune exec test/gen_golden/gen_golden.exe -- [dir]
-   writes trace_taxi_small.jsonl, trace_chaos_small.jsonl and
+   writes trace_chaos_small.jsonl, debug_script.txt and
    check_all_depth5.txt (default dir: test/golden).  Must stay in
    lockstep with the trace-producing fixtures in test_obs.ml and the
    registry fixture in test_claims.ml — the golden tests there compare
    these files byte-for-byte against fresh output at jobs 1 and 4. *)
 
 open Relax_obs
-
-let small_taxi_params =
-  {
-    Relax_experiments.Taxi.default_params with
-    sites = 3;
-    requests = 4;
-    seed = 42;
-  }
-
-let taxi_trace () =
-  let tracer = Tracer.create () in
-  Tracer.Ambient.with_tracer tracer (fun () ->
-      ignore
-        (Relax_experiments.Taxi.run_point ~params:small_taxi_params
-           (List.hd (Relax_experiments.Taxi.points ~n:3))));
-  Export.to_string Export.Jsonl (Export.sort (Tracer.events tracer))
 
 let small_chaos_config =
   {
@@ -102,7 +86,6 @@ let write path s =
 let () =
   let dir = if Array.length Sys.argv > 1 then Sys.argv.(1) else "test/golden" in
   Relax_parallel.Pool.set_default_jobs 1;
-  write (Filename.concat dir "trace_taxi_small.jsonl") (taxi_trace ());
   write (Filename.concat dir "trace_chaos_small.jsonl") (chaos_trace ());
   write (Filename.concat dir "debug_script.txt") (debug_transcript ());
   write (Filename.concat dir "check_all_depth5.txt") (check_all_depth5 ())

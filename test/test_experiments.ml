@@ -26,22 +26,21 @@ let experiment_tests =
     check "partition: preferred blocks minority, relaxed diverges" (fun () ->
         Partition.run null ());
     check "stable storage is load-bearing (amnesia breaks the guarantee)"
-      (fun () -> Amnesia.run ~seeds:[ 41; 42; 43 ] null ());
+      (fun () -> Amnesia.run ~runs:3 null ());
     Alcotest.test_case "adaptive runs are accepted by the combined automaton"
       `Slow (fun () ->
         (* several seeds: every adaptive run, whatever its mode switches,
            must be accepted by the Section 2.3 combined automaton *)
         List.iter
           (fun seed ->
-            let o =
+            let _, verdict =
               Adaptive.run_once
-                ~params:{ Adaptive.default_params with seed; requests = 20 }
+                ~config:{ Adaptive.default_config with seed; requests = 20 }
                 ()
             in
-            if not o.Adaptive.accepted_by_combined then
-              Alcotest.failf "seed %d rejected: %a" seed
-                Fmt.(option Relax_core.History.pp)
-                o.Adaptive.first_rejection)
+            if not (Relax_chaos.Oracle.conforms verdict) then
+              Alcotest.failf "seed %d rejected: %a" seed Relax_chaos.Oracle.pp
+                verdict)
           [ 31; 32; 33; 34; 35 ]);
     (* depth 4 is the least depth distinguishing Semiqueue_2 from
        Semiqueue_3 (three enqueues plus a dequeue of the third item) *)
@@ -51,8 +50,8 @@ let experiment_tests =
     check "availability table and cross-check (X-av)" (fun () ->
         Availability.run null ());
     check "taxi dispatch degradation (X-deg)" (fun () ->
-        let params = { Taxi.default_params with requests = 15; seed = 7 } in
-        let outcomes = Taxi.run_all ~params () in
+        let config = { Taxi.default_config with requests = 15; seed = 7 } in
+        let outcomes = Taxi.run_all ~config () in
         List.for_all (fun o -> o.Taxi.history_ok) outcomes);
     check "bank account safety (B3-4)" (fun () ->
         let params = { Atm.default_params with rounds = 10; seed = 7 } in
@@ -129,18 +128,62 @@ let point_tests =
           ]);
   ]
 
+(* The taxi and adaptive case studies are chaos runs: at their default
+   configs each yields the digest of the chaos scenario it names, run
+   under the crash nemesis alone — and that trace replays to the same
+   digest after a serialization round trip. *)
+let scenario_digest ~point config =
+  let digest trace =
+    match Chaos_scenarios.run_trace trace with
+    | Ok (result, _) -> result.Relax_chaos.Runner.digest
+    | Error e -> Alcotest.fail e
+  in
+  match Chaos_scenarios.make_trace ~point ~nemeses:[ "crash" ] ~config with
+  | Error e -> Alcotest.fail e
+  | Ok trace ->
+    let d = digest trace in
+    Alcotest.(check string)
+      (point ^ " replays after a round trip")
+      d
+      (digest
+         (Relax_chaos.Trace.of_string (Relax_chaos.Trace.to_string trace)));
+    d
+
+let case_study_tests =
+  [
+    Alcotest.test_case "each taxi point is its chaos scenario's run" `Slow
+      (fun () ->
+        List.iter
+          (fun (p : Taxi.point) ->
+            Alcotest.(check string)
+              (p.name ^ " digest")
+              (scenario_digest ~point:p.name Taxi.default_config)
+              (Taxi.run_point p).Taxi.result.digest)
+          (Taxi.points ~n:Taxi.default_config.sites));
+    Alcotest.test_case "the adaptive run is the adaptive scenario's run" `Slow
+      (fun () ->
+        let result, _ = Adaptive.run_once () in
+        Alcotest.(check string)
+          "adaptive digest"
+          (scenario_digest ~point:"adaptive" Adaptive.default_config)
+          result.Relax_chaos.Runner.digest);
+  ]
+
 (* Determinism: experiments are reproducible from their seeds. *)
 let determinism_tests =
   [
     Alcotest.test_case "taxi runs are deterministic" `Slow (fun () ->
-        let params = { Taxi.default_params with requests = 12; seed = 5 } in
+        let config = { Taxi.default_config with requests = 12; seed = 5 } in
         let point = List.hd (Taxi.points ~n:5) in
-        let a = Taxi.run_point ~params point in
-        let b = Taxi.run_point ~params point in
+        let a = Taxi.run_point ~config point in
+        let b = Taxi.run_point ~config point in
         Alcotest.(check int) "served" a.Taxi.served b.Taxi.served;
-        Alcotest.(check int) "unavailable" a.Taxi.unavailable b.Taxi.unavailable;
+        Alcotest.(check int) "unavailable" a.Taxi.result.unavailable
+          b.Taxi.result.unavailable;
         Alcotest.(check (float 1e-9)) "latency" a.Taxi.mean_latency
-          b.Taxi.mean_latency);
+          b.Taxi.mean_latency;
+        Alcotest.(check string) "digest" a.Taxi.result.digest
+          b.Taxi.result.digest);
     Alcotest.test_case "workload runs are deterministic" `Quick (fun () ->
         let params =
           { Relax_txn.Workload.items = 8; max_dequeuers = 3;
@@ -333,6 +376,7 @@ let () =
     [
       ("experiments", experiment_tests);
       ("points", point_tests);
+      ("case studies", case_study_tests);
       ("determinism", determinism_tests);
       ("load", load_tests);
       ("debug", debug_tests);

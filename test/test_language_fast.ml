@@ -349,9 +349,34 @@ let witness_pairs =
       (Semiqueue.automaton 1);
   ]
 
+(* The intern table maps every id back to the first value interned
+   under it, across its growth, and rejects ids it never allocated. *)
+let intern_tests =
+  [
+    Alcotest.test_case "Intern.value inverts Intern.id" `Quick (fun () ->
+        (* a coarse hash: most values share a bucket with others *)
+        let t = Language.Intern.create (fun v -> v mod 7) Int.equal in
+        let values = List.init 100 (fun i -> (i * 37) mod 101) in
+        let ids = List.map (Language.Intern.id t) values in
+        Alcotest.(check (list int)) "dense ids" (List.init 100 Fun.id) ids;
+        List.iter2
+          (fun v id ->
+            Alcotest.(check int) "re-interned" id (Language.Intern.id t v);
+            Alcotest.(check int) "value" v (Language.Intern.value t id))
+          values ids;
+        List.iter
+          (fun id ->
+            Alcotest.check_raises
+              (Printf.sprintf "id %d" id)
+              (Invalid_argument "Language.Intern.value")
+              (fun () -> ignore (Language.Intern.value t id)))
+          [ -1; 100; 128 ]);
+  ]
+
 let () =
   Alcotest.run "language_fast"
     [
+      ("intern", intern_tests);
       ("pq", pq_pairs);
       ("fifo", fifo_pairs);
       ("collapses", collapse_pairs);

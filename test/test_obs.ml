@@ -448,22 +448,6 @@ let export_tests =
 (* Golden traces: determinism of the instrumented runs                 *)
 (* ------------------------------------------------------------------ *)
 
-let small_taxi_params =
-  {
-    Relax_experiments.Taxi.default_params with
-    sites = 3;
-    requests = 4;
-    seed = 42;
-  }
-
-let taxi_trace () =
-  let tracer = Tracer.create () in
-  Tracer.Ambient.with_tracer tracer (fun () ->
-      ignore
-        (Relax_experiments.Taxi.run_point ~params:small_taxi_params
-           (List.hd (Relax_experiments.Taxi.points ~n:3))));
-  Export.to_string Export.Jsonl (Export.sort (Tracer.events tracer))
-
 let small_chaos_config =
   {
     Relax_chaos.Runner.default_config with
@@ -511,8 +495,6 @@ let golden_case name golden produce =
 
 let golden_tests =
   [
-    golden_case "taxi trace is byte-stable at any job count"
-      "trace_taxi_small.jsonl" taxi_trace;
     golden_case "chaos trace is byte-stable at any job count"
       "trace_chaos_small.jsonl" chaos_trace;
   ]
